@@ -8,15 +8,15 @@
 
 from scattersim import impossibility_demo
 from scattersim.errors import NotDeterministicError
-from scattersim.protocols import DETERMINISTIC_RULES, DeterministicRule, Scatter
+from scattersim.protocols import DETERMINISTIC_RULES, ProtocolSpec
 
 print("coin-free rules, 4 robots from one point, 100 instants each:")
 for name in DETERMINISTIC_RULES:
-    verdict = impossibility_demo(DeterministicRule(name), steps=100, n=4)
+    verdict = impossibility_demo(ProtocolSpec("deterministic_rule", rule=name).build(), steps=100, n=4)
     print(f"  {name:<12} co-located throughout: {verdict.passed}")
 
 print("\nscatter draws coins, so the harness rejects it:")
 try:
-    impossibility_demo(Scatter(), steps=10, n=4)
+    impossibility_demo(ProtocolSpec("scatter").build(), steps=10, n=4)
 except NotDeterministicError as exc:
     print(f"  rejected: {exc}")

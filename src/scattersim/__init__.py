@@ -11,7 +11,6 @@ from .geometry import (
     Point,
     VoronoiCell,
     VoronoiDiagram,
-    cell_contains,
     compute_voronoi,
     distance,
     own_cell,
@@ -36,7 +35,6 @@ from .scheduler import (
     FairnessVerdict,
     SchedulerSpec,
     audit_fairness,
-    parse_scheduler,
 )
 from .protocols import (
     DETERMINISTIC_RULES,

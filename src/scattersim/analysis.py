@@ -17,7 +17,7 @@ import numpy as np
 from .engine import RecordingSource, Scenario, Trace, _advance, run
 from .errors import NotDeterministicError, ScenarioValidationError
 from .geometry import Point
-from .protocols import Protocol, Scatter
+from .protocols import Protocol, ProtocolSpec
 from .scheduler import SchedulerSpec
 from .world import Capabilities, Robot, all_distinct, multiplicity_points
 
@@ -149,7 +149,7 @@ def _pair_campaign(
         Point(50.0 + 10.0 * i, 50.0) for i in range(bystanders)
     )
     caps = Capabilities()
-    protocol = Scatter()
+    protocol = ProtocolSpec("scatter").build()
     tally = PairEventTally()
     stats = ConvergenceStats()
     survival = [0] * (max_a + 1)

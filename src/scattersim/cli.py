@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,8 @@ from . import analysis
 from .engine import Scenario, load_trace, replay, run, write_trace, _f17
 from .errors import ScatterSimError
 from .geometry import Point, compute_voronoi, distance
-from .protocols import DETERMINISTIC_RULES, DeterministicRule, ProtocolSpec
-from .scheduler import SchedulerSpec, audit_fairness, parse_scheduler
+from .protocols import DETERMINISTIC_RULES, ProtocolSpec
+from .scheduler import SchedulerSpec, audit_fairness
 from .world import Capabilities, Robot, as_configuration, multiplicity_points
 
 OUT_DIR_ENV = "SCATTERSIM_OUT"
@@ -39,36 +38,6 @@ SUITES = (
     "fairness",
     "voronoi-oracle",
 )
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """A batch of scenarios: a base plus seeds and optional sweeps."""
-
-    base: Scenario
-    seeds: tuple[int, ...]
-    scheduler_kinds: tuple[SchedulerSpec, ...] | None = None
-    sigma_values: tuple[float, ...] | None = None
-
-    def validate(self) -> None:
-        if not self.seeds:
-            raise ValueError("campaign needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("campaign seeds must be disjoint")
-
-    def scenarios(self):
-        self.validate()
-        from dataclasses import replace
-
-        schedulers = self.scheduler_kinds or (self.base.scheduler,)
-        sigmas = self.sigma_values or (None,)
-        for sched in schedulers:
-            for sigma in sigmas:
-                robots = self.base.robots
-                if sigma is not None:
-                    robots = tuple(replace(r, sigma=sigma) for r in robots)
-                for seed in self.seeds:
-                    yield replace(self.base, robots=robots, scheduler=sched, seed=seed)
 
 
 def _default_out(name: str) -> Path:
@@ -260,7 +229,8 @@ def _suite_decay(trials: int, seed: int) -> bool:
 def _suite_impossibility(_trials: int, seed: int) -> bool:
     ok = True
     for rule in DETERMINISTIC_RULES:
-        verdict = analysis.impossibility_demo(DeterministicRule(rule), steps=100, n=4, seed=seed)
+        protocol = ProtocolSpec("deterministic_rule", rule=rule).build()
+        verdict = analysis.impossibility_demo(protocol, steps=100, n=4, seed=seed)
         ok &= _report(
             f"impossibility {rule}",
             verdict.passed,
@@ -426,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--trials", type=int, help="trial count (suite-specific default)")
     p_verify.add_argument("--seed", type=int, default=2024)
-    p_verify.add_argument(
-        "--scheduler",
-        type=parse_scheduler,
-        help="scheduler kind[:param] where a suite accepts one",
-    )
     p_verify.set_defaults(fn=cmd_verify)
 
     p_replay = sub.add_parser("replay", help="re-execute a trace and compare")

@@ -26,12 +26,7 @@ from .errors import (
     TraceFormatError,
 )
 from .geometry import Point, distance
-from .protocols import (
-    NEEDS_LOCALIZATION,
-    NEEDS_MULTIPLICITY,
-    Protocol,
-    ProtocolSpec,
-)
+from .protocols import Protocol, ProtocolSpec
 from .scheduler import SchedulerSpec
 from .world import (
     Capabilities,
@@ -123,20 +118,7 @@ class Scenario:
         if self.stop_rule not in STOP_RULES:
             raise ScenarioValidationError(f"stop_rule: unknown rule {self.stop_rule!r}")
         self.scheduler.validate()
-        self.protocol.validate(n=self.n)
-        kind = self.protocol.kind
-        if kind in NEEDS_MULTIPLICITY and not self.caps.multiplicity_detection:
-            raise ScenarioValidationError(
-                f"capabilities: protocol {kind} requires multiplicity_detection"
-            )
-        if kind in NEEDS_LOCALIZATION and not self.caps.localization_knowledge:
-            raise ScenarioValidationError(
-                f"capabilities: protocol {kind} requires localization_knowledge"
-            )
-        if kind == "pair_gather" and self.n != 2:
-            raise ScenarioValidationError("robots: pair_gather requires exactly n = 2")
-        if kind in ("stabilized_gather", "reference_gather") and self.n < 3:
-            raise ScenarioValidationError(f"robots: protocol {kind} requires n >= 3")
+        self.protocol.validate(n=self.n, caps=self.caps)
         if self.stop_rule == "no_multiplicity" and not self.caps.multiplicity_detection:
             raise ScenarioValidationError(
                 "stop_rule: no_multiplicity requires multiplicity_detection"
@@ -371,21 +353,29 @@ class ReplayVerdict:
     message: str
 
 
+_REPLAYED_FIELDS = (
+    ("config", "configuration"),
+    ("active", "activation set"),
+    ("t", "instant counter"),
+    ("coins", "coin record"),
+    ("targets", "target record"),
+)
+
+
 def replay(trace: Trace) -> ReplayVerdict:
-    """Re-execute the embedded scenario and compare configurations
-    instant by instant. Refuses to run on a digest mismatch."""
+    """Re-execute the embedded scenario and compare every record field
+    (configuration, activation set, ``t``, coins, targets) instant by
+    instant, then the length and final status. Refuses to run on a
+    digest mismatch."""
     if trace.digest != scenario_digest(trace.scenario):
         raise DigestMismatchError("trace digest does not match its embedded scenario")
     fresh = run(trace.scenario)
     if fresh.initial != trace.initial:
         return ReplayVerdict(False, 0, "initial configuration differs")
     for j, (a, b) in enumerate(zip(trace.records, fresh.records)):
-        if a.config != b.config:
-            return ReplayVerdict(
-                False, j + 1, f"configuration diverges at instant {j + 1}"
-            )
-        if a.active != b.active:
-            return ReplayVerdict(False, j + 1, f"activation set diverges at instant {j + 1}")
+        for field, name in _REPLAYED_FIELDS:
+            if getattr(a, field) != getattr(b, field):
+                return ReplayVerdict(False, j + 1, f"{name} diverges at instant {j + 1}")
     if len(fresh.records) != len(trace.records) or fresh.status != trace.status:
         k = min(len(fresh.records), len(trace.records)) + 1
         return ReplayVerdict(False, k, "trace length or final status differs")
@@ -444,8 +434,9 @@ def load_trace(path) -> Trace:
         raise TraceFormatError(f"bad trailer: {exc}") from exc
     if "status" not in trailer:
         raise TraceFormatError("truncated trace: missing status trailer")
+    n = len(scenario.initial)
     records = []
-    for ln in lines[1:-1]:
+    for k, ln in enumerate(lines[1:-1]):
         try:
             obj = json.loads(ln)
             rec = StepRecord(
@@ -457,6 +448,14 @@ def load_trace(path) -> Trace:
             )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise TraceFormatError(f"bad record line: {exc}") from exc
+        if rec.t != k:
+            raise TraceFormatError(f"record {k}: t = {rec.t}, expected {k}")
+        if len(rec.config) != n:
+            raise TraceFormatError(f"record {k}: {len(rec.config)} positions for {n} robots")
+        if len(rec.coins) != len(rec.active) or len(rec.targets) != len(rec.active):
+            raise TraceFormatError(f"record {k}: coins or targets not aligned with active")
+        if any(not 0 <= i < n for i in rec.active):
+            raise TraceFormatError(f"record {k}: active ordinal out of range 0..{n - 1}")
         records.append(rec)
     return Trace(
         scenario=scenario,

@@ -38,9 +38,10 @@ class TraceFormatError(ScatterSimError, ValueError):
 
 
 class ScenarioParseError(ScatterSimError, ValueError):
-    """A scenario file failed to parse; carries the offending line."""
+    """A scenario file failed to parse; carries the offending line, or
+    None when no line holds the fault (a missing top-level key)."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
         self.reason = message

@@ -75,10 +75,6 @@ class VoronoiDiagram:
         return None
 
 
-def cell_contains(cell: VoronoiCell, q: Point) -> bool:
-    return cell.contains(q)
-
-
 def _reduce_constraints(
     site: Point, normals: np.ndarray, offsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

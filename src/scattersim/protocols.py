@@ -8,8 +8,9 @@ the robot's sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import fmean
+from typing import Callable
 
 from .errors import CapabilityError, ContractViolationError, ScenarioValidationError
 from .geometry import Point, distance, own_cell, sample_in_cell
@@ -152,11 +153,16 @@ DETERMINISTIC_RULES = {
 }
 
 
-def deterministic_rule_step(view: View, rule: str = "unit_x") -> Point:
+def deterministic_rule(name: str):
+    """The coin-free rule called ``name``; the one check of rule names."""
     try:
-        return DETERMINISTIC_RULES[rule](view)
+        return DETERMINISTIC_RULES[name]
     except KeyError:
-        raise ScenarioValidationError(f"unknown deterministic rule {rule!r}") from None
+        raise ScenarioValidationError(f"unknown deterministic rule {name!r}") from None
+
+
+def deterministic_rule_step(view: View, rule: str = "unit_x") -> Point:
+    return deterministic_rule(rule)(view)
 
 
 class Protocol:
@@ -168,84 +174,72 @@ class Protocol:
         raise NotImplementedError
 
 
-class Scatter(Protocol):
-    kind = "scatter"
+@dataclass(frozen=True)
+class Kind:
+    """What one protocol kind is and needs.
+
+    ``rule(protocol, view, caps, sigma, rng)`` decides for a built
+    :class:`KindProtocol`. A ``shared_frame`` kind needs multiplicity
+    detection and localization knowledge; ``plugin`` names the kind a
+    self-stabilizing wrapper defers to once the guard is clear.
+    """
+
+    rule: Callable
+    shared_frame: bool = False
+    takes_pattern: bool = False
+    takes_rule: bool = False
+    exact_n: int | None = None
+    min_n: int = 1
+    plugin: str | None = None
+
+
+KINDS = {
+    "scatter": Kind(lambda p, view, caps, sigma, rng: scatter_step(view, sigma, rng)),
+    "pair_gather": Kind(
+        lambda p, view, caps, sigma, rng: pair_gather_step(view, sigma, rng), exact_n=2
+    ),
+    "stabilized_pattern": Kind(
+        lambda p, view, caps, sigma, rng: stabilized_pattern_step(view, caps, sigma, rng, p.plugin),
+        shared_frame=True,
+        takes_pattern=True,
+        plugin="reference_pattern",
+    ),
+    "stabilized_gather": Kind(
+        lambda p, view, caps, sigma, rng: stabilized_gather_step(view, caps, sigma, rng, p.plugin),
+        shared_frame=True,
+        min_n=3,
+        plugin="reference_gather",
+    ),
+    "reference_pattern": Kind(
+        lambda p, view, caps, sigma, rng: reference_pattern_step(view, caps, sigma, p.spec.pattern),
+        shared_frame=True,
+        takes_pattern=True,
+    ),
+    "reference_gather": Kind(
+        lambda p, view, caps, sigma, rng: reference_gather_step(view, caps, sigma),
+        shared_frame=True,
+        min_n=3,
+    ),
+    "deterministic_rule": Kind(
+        lambda p, view, caps, sigma, rng: deterministic_rule_step(view, p.spec.rule or "unit_x"),
+        takes_rule=True,
+    ),
+}
+
+
+class KindProtocol(Protocol):
+    """The protocol a :class:`ProtocolSpec` names, deciding by its
+    :data:`KINDS` entry; a wrapper kind holds its plug-in as ``plugin``."""
+
+    def __init__(self, spec: ProtocolSpec):
+        self.spec = spec
+        self.kind = spec.kind
+        entry = KINDS[spec.kind]
+        self._rule = entry.rule
+        self.plugin = None if entry.plugin is None else KindProtocol(replace(spec, kind=entry.plugin))
 
     def decide(self, view, caps, sigma, rng):
-        return scatter_step(view, sigma, rng)
-
-
-class PairGathering(Protocol):
-    kind = "pair_gather"
-
-    def decide(self, view, caps, sigma, rng):
-        return pair_gather_step(view, sigma, rng)
-
-
-class ReferencePatternFormation(Protocol):
-    kind = "reference_pattern"
-
-    def __init__(self, pattern: tuple[Point, ...]):
-        self.pattern = pattern
-
-    def decide(self, view, caps, sigma, rng):
-        return reference_pattern_step(view, caps, sigma, self.pattern)
-
-
-class ReferenceGathering(Protocol):
-    kind = "reference_gather"
-
-    def decide(self, view, caps, sigma, rng):
-        return reference_gather_step(view, caps, sigma)
-
-
-class StabilizedPatternFormation(Protocol):
-    kind = "stabilized_pattern"
-
-    def __init__(self, formation: Protocol):
-        self.formation = formation
-
-    def decide(self, view, caps, sigma, rng):
-        return stabilized_pattern_step(view, caps, sigma, rng, self.formation)
-
-
-class StabilizedGathering(Protocol):
-    kind = "stabilized_gather"
-
-    def __init__(self, gatherer: Protocol):
-        self.gatherer = gatherer
-
-    def decide(self, view, caps, sigma, rng):
-        return stabilized_gather_step(view, caps, sigma, rng, self.gatherer)
-
-
-class DeterministicRule(Protocol):
-    kind = "deterministic_rule"
-
-    def __init__(self, rule: str = "unit_x"):
-        if rule not in DETERMINISTIC_RULES:
-            raise ScenarioValidationError(f"unknown deterministic rule {rule!r}")
-        self.rule = rule
-
-    def decide(self, view, caps, sigma, rng):
-        return deterministic_rule_step(view, self.rule)
-
-
-PROTOCOL_KINDS = (
-    "scatter",
-    "pair_gather",
-    "stabilized_pattern",
-    "stabilized_gather",
-    "reference_pattern",
-    "reference_gather",
-    "deterministic_rule",
-)
-
-# Kinds whose guard counts robots per position.
-NEEDS_MULTIPLICITY = {"stabilized_pattern", "stabilized_gather", "reference_pattern", "reference_gather"}
-# Kinds whose bundled plug-in assumes one shared coordinate frame.
-NEEDS_LOCALIZATION = {"stabilized_pattern", "stabilized_gather", "reference_pattern", "reference_gather"}
-_NEEDS_PATTERN = {"stabilized_pattern", "reference_pattern"}
+        return self._rule(self, view, caps, sigma, rng)
 
 
 @dataclass(frozen=True)
@@ -256,10 +250,12 @@ class ProtocolSpec:
     pattern: tuple[Point, ...] | None = None
     rule: str | None = None
 
-    def validate(self, n: int | None = None) -> None:
-        if self.kind not in PROTOCOL_KINDS:
+    def validate(self, n: int | None = None, caps: Capabilities | None = None) -> None:
+        """Check the spec, then, when given, its fit to ``n`` robots and ``caps``."""
+        kind = KINDS.get(self.kind)
+        if kind is None:
             raise ScenarioValidationError(f"unknown protocol kind {self.kind!r}")
-        if self.kind in _NEEDS_PATTERN:
+        if kind.takes_pattern:
             if not self.pattern:
                 raise ScenarioValidationError(f"protocol {self.kind} needs a pattern")
             if len(set(self.pattern)) != len(self.pattern):
@@ -270,23 +266,24 @@ class ProtocolSpec:
                 )
         elif self.pattern:
             raise ScenarioValidationError(f"protocol {self.kind} takes no pattern")
-        if self.rule is not None and self.kind != "deterministic_rule":
+        if self.rule is not None and not kind.takes_rule:
             raise ScenarioValidationError(f"protocol {self.kind} takes no rule")
-        if self.kind == "deterministic_rule" and (self.rule or "unit_x") not in DETERMINISTIC_RULES:
-            raise ScenarioValidationError(f"unknown deterministic rule {self.rule!r}")
+        if kind.takes_rule:
+            deterministic_rule(self.rule or "unit_x")
+        if caps is not None and kind.shared_frame:
+            if not caps.multiplicity_detection:
+                raise ScenarioValidationError(
+                    f"capabilities: protocol {self.kind} requires multiplicity_detection"
+                )
+            if not caps.localization_knowledge:
+                raise ScenarioValidationError(
+                    f"capabilities: protocol {self.kind} requires localization_knowledge"
+                )
+        if n is not None and kind.exact_n is not None and n != kind.exact_n:
+            raise ScenarioValidationError(f"robots: {self.kind} requires exactly n = {kind.exact_n}")
+        if n is not None and n < kind.min_n:
+            raise ScenarioValidationError(f"robots: protocol {self.kind} requires n >= {kind.min_n}")
 
     def build(self) -> Protocol:
         self.validate()
-        if self.kind == "scatter":
-            return Scatter()
-        if self.kind == "pair_gather":
-            return PairGathering()
-        if self.kind == "stabilized_pattern":
-            return StabilizedPatternFormation(ReferencePatternFormation(self.pattern))
-        if self.kind == "stabilized_gather":
-            return StabilizedGathering(ReferenceGathering())
-        if self.kind == "reference_pattern":
-            return ReferencePatternFormation(self.pattern)
-        if self.kind == "reference_gather":
-            return ReferenceGathering()
-        return DeterministicRule(self.rule or "unit_x")
+        return KindProtocol(self)

@@ -2,7 +2,8 @@
 
 Format: full-line comments (#), blank lines, [section] headers, and
 ``key = value`` pairs. Top-level keys come before any section. Unknown
-sections or keys are errors, and every diagnostic carries a line number.
+sections or keys are errors. Parse diagnostics carry the offending line
+number; a missing key names its section header's line (none at top level).
 
     version = 1
     seed = 42
@@ -37,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Scenario
-from .errors import ScenarioParseError, ScenarioValidationError
+from .errors import ScenarioParseError
 from .geometry import Point
 from .protocols import ProtocolSpec
 from .scheduler import SchedulerSpec
@@ -78,7 +79,8 @@ def _parse_points(value: str, line: int) -> tuple[Point, ...]:
 
 
 def _scan(text: str):
-    """Yield (line_number, section, key, value) for every assignment."""
+    """Yield (line_number, section, key, value) for every assignment, and
+    (line_number, section, None, None) for every section header."""
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -88,6 +90,7 @@ def _scan(text: str):
             section = stripped[1:-1].strip()
             if section not in _SECTION_KEYS:
                 raise ScenarioParseError(lineno, f"unknown section [{section}]")
+            yield lineno, section, None, None
             continue
         if "=" not in stripped:
             raise ScenarioParseError(lineno, "expected 'key = value'")
@@ -104,26 +107,31 @@ def _scan(text: str):
 def parse_scenario_text(text: str) -> Scenario:
     top: dict[str, tuple[int, str]] = {}
     sections: dict[str, dict[str, tuple[int, str]]] = {name: {} for name in _SECTION_KEYS}
+    headers: dict[str, int] = {}
     for lineno, section, key, value in _scan(text):
+        if key is None:
+            headers.setdefault(section, lineno)
+            continue
         bucket = top if section is None else sections[section]
         if key in bucket:
             raise ScenarioParseError(lineno, f"duplicate key {key!r}")
         bucket[key] = (lineno, value)
 
-    def need(bucket, key, where) -> tuple[int, str]:
+    def need(bucket, key, section=None) -> tuple[int, str]:
         if key not in bucket:
-            raise ScenarioParseError(0, f"missing required key {key!r} in {where}")
+            where = "top level" if section is None else f"[{section}]"
+            raise ScenarioParseError(headers.get(section), f"missing required key {key!r} in {where}")
         return bucket[key]
 
-    lineno, version = need(top, "version", "top level")
+    lineno, version = need(top, "version")
     if version.strip() != "1":
         raise ScenarioParseError(lineno, f"unsupported version {version!r}")
-    lineno, seed_raw = need(top, "seed", "top level")
+    lineno, seed_raw = need(top, "seed")
     try:
         seed = int(seed_raw)
     except ValueError:
         raise ScenarioParseError(lineno, f"seed must be an integer, got {seed_raw!r}") from None
-    lineno, steps_raw = need(top, "max_steps", "top level")
+    lineno, steps_raw = need(top, "max_steps")
     try:
         max_steps = int(steps_raw)
     except ValueError:
@@ -131,16 +139,16 @@ def parse_scenario_text(text: str) -> Scenario:
     stop_rule = top.get("stop_rule", (0, "none"))[1]
 
     rob = sections["robots"]
-    lineno, count_raw = need(rob, "count", "[robots]")
+    lineno, count_raw = need(rob, "count", "robots")
     try:
         count = int(count_raw)
     except ValueError:
         raise ScenarioParseError(lineno, f"count must be an integer, got {count_raw!r}") from None
-    lineno, pos_raw = need(rob, "positions", "[robots]")
+    lineno, pos_raw = need(rob, "positions", "robots")
     positions = _parse_points(pos_raw, lineno)
     if len(positions) != count:
         raise ScenarioParseError(lineno, f"count = {count} but {len(positions)} positions given")
-    lineno, sigma_raw = need(rob, "sigma", "[robots]")
+    lineno, sigma_raw = need(rob, "sigma", "robots")
     try:
         sigmas = [float(tok) for tok in sigma_raw.split()]
     except ValueError:
@@ -165,7 +173,7 @@ def parse_scenario_text(text: str) -> Scenario:
     )
 
     sch = sections["scheduler"]
-    lineno, kind = need(sch, "kind", "[scheduler]")
+    lineno, kind = need(sch, "kind", "scheduler")
     param: float | int | None = None
     if "p" in sch:
         p_line, p_raw = sch["p"]
@@ -184,7 +192,7 @@ def parse_scenario_text(text: str) -> Scenario:
     scheduler = SchedulerSpec(kind, param)
 
     pro = sections["protocol"]
-    lineno, pkind = need(pro, "kind", "[protocol]")
+    lineno, pkind = need(pro, "kind", "protocol")
     pattern = None
     if "pattern" in pro:
         pat_line, pat_raw = pro["pattern"]
@@ -192,23 +200,20 @@ def parse_scenario_text(text: str) -> Scenario:
     rule = pro.get("rule", (0, None))[1]
     protocol = ProtocolSpec(kind=pkind, pattern=pattern, rule=rule)
 
-    try:
-        sigma_robots = tuple(
-            Robot(index=i, sigma=sigmas[i], frame=frames[i]) for i in range(count)
-        )
-        scenario = Scenario(
-            robots=sigma_robots,
-            initial=as_configuration(positions),
-            caps=caps,
-            scheduler=scheduler,
-            protocol=protocol,
-            seed=seed,
-            max_steps=max_steps,
-            stop_rule=stop_rule,
-        )
-        scenario.validate()
-    except ScenarioValidationError:
-        raise
+    sigma_robots = tuple(
+        Robot(index=i, sigma=sigmas[i], frame=frames[i]) for i in range(count)
+    )
+    scenario = Scenario(
+        robots=sigma_robots,
+        initial=as_configuration(positions),
+        caps=caps,
+        scheduler=scheduler,
+        protocol=protocol,
+        seed=seed,
+        max_steps=max_steps,
+        stop_rule=stop_rule,
+    )
+    scenario.validate()
     return scenario
 
 

@@ -116,20 +116,6 @@ class SchedulerSpec:
         return BoundedDelay(int(self.param))
 
 
-def parse_scheduler(text: str) -> SchedulerSpec:
-    """Parse ``kind`` or ``kind:param`` as used on the command line."""
-    kind, _, raw = text.partition(":")
-    kind = kind.strip()
-    if not raw:
-        spec = SchedulerSpec(kind)
-    elif kind == "bounded_delay":
-        spec = SchedulerSpec(kind, int(raw))
-    else:
-        spec = SchedulerSpec(kind, float(raw))
-    spec.validate()
-    return spec
-
-
 @dataclass(frozen=True)
 class FairnessVerdict:
     status: str  # pass | fail | inconclusive

@@ -30,7 +30,7 @@ from scattersim import (
     verify_decay_bound,
     write_trace,
 )
-from scattersim.protocols import DETERMINISTIC_RULES, DeterministicRule
+from scattersim.protocols import DETERMINISTIC_RULES
 from scattersim.scheduler import audit_fairness
 
 from conftest import bisector_clearance, make_scenario, nearest_site
@@ -142,7 +142,8 @@ def test_criterion_5_impossibility():
     assert len(rules) >= 5
     failed = []
     for name in rules[:5]:
-        verdict = impossibility_demo(DeterministicRule(name), steps=100, n=4, seed=505)
+        rule = ProtocolSpec("deterministic_rule", rule=name).build()
+        verdict = impossibility_demo(rule, steps=100, n=4, seed=505)
         if not verdict.passed:
             failed.append(name)
     report(

@@ -17,7 +17,7 @@ from scattersim import (
 from scattersim.analysis import PAIR_PERSISTENCE_BOUND, _pair_campaign
 from scattersim.engine import StepRecord, Trace
 from scattersim.errors import NotDeterministicError
-from scattersim.protocols import DETERMINISTIC_RULES, DeterministicRule, Scatter
+from scattersim.protocols import DETERMINISTIC_RULES, ProtocolSpec
 
 from conftest import make_scenario
 
@@ -155,7 +155,7 @@ def test_decay_bound_other_schedulers():
 
 
 def test_impossibility_default_rule():
-    verdict = impossibility_demo(DeterministicRule("unit_x"), steps=100, n=3)
+    verdict = impossibility_demo(ProtocolSpec("deterministic_rule", rule="unit_x").build(), steps=100, n=3)
     assert verdict.passed
     assert verdict.instants == 100
     assert verdict.first_divergence is None
@@ -163,13 +163,14 @@ def test_impossibility_default_rule():
 
 def test_impossibility_all_rules():
     for name in DETERMINISTIC_RULES:
-        verdict = impossibility_demo(DeterministicRule(name), steps=100, n=5, seed=9)
+        rule = ProtocolSpec("deterministic_rule", rule=name).build()
+        verdict = impossibility_demo(rule, steps=100, n=5, seed=9)
         assert verdict.passed, name
 
 
 def test_impossibility_rejects_coin_draws():
     with pytest.raises(NotDeterministicError):
-        impossibility_demo(Scatter(), steps=10, n=3)
+        impossibility_demo(ProtocolSpec("scatter").build(), steps=10, n=3)
 
 
 def test_gather_stats_pair_already_gathered():

@@ -205,29 +205,3 @@ def test_verify_fairness(capsys):
 def test_missing_file_reports_error(capsys):
     assert main(["run", "/nonexistent/file.scn"]) == 2
     assert "error" in capsys.readouterr().err
-
-
-def test_campaign_spec_expansion_and_seed_disjointness():
-    from scattersim import SchedulerSpec
-    from scattersim.cli import CampaignSpec
-
-    from conftest import make_scenario
-
-    base = make_scenario([(0, 0), (0, 0)], seed=0, max_steps=10)
-    campaign = CampaignSpec(
-        base=base,
-        seeds=(1, 2, 3),
-        scheduler_kinds=(SchedulerSpec("full_synchronous"), SchedulerSpec("round_robin")),
-        sigma_values=(0.5, 2.0),
-    )
-    scenarios = list(campaign.scenarios())
-    assert len(scenarios) == 3 * 2 * 2
-    assert {s.seed for s in scenarios} == {1, 2, 3}
-    assert {s.scheduler.kind for s in scenarios} == {"full_synchronous", "round_robin"}
-    assert {s.robots[0].sigma for s in scenarios} == {0.5, 2.0}
-    for s in scenarios:
-        s.validate()
-    with pytest.raises(ValueError, match="disjoint"):
-        list(CampaignSpec(base=base, seeds=(1, 1)).scenarios())
-    with pytest.raises(ValueError, match="seed"):
-        list(CampaignSpec(base=base, seeds=()).scenarios())

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from scattersim import (
     write_trace,
 )
 from scattersim.engine import StepRecord, Trace
-from scattersim.errors import DigestMismatchError, ScenarioValidationError
+from scattersim.errors import DigestMismatchError, ScenarioValidationError, TraceFormatError
 from scattersim.protocols import Protocol
 
 from conftest import make_scenario
@@ -204,6 +205,58 @@ def test_replay_detects_perturbed_position():
     assert verdict.first_divergence == k + 1
 
 
+TAMPER = {
+    "t": ("instant counter", lambda r: r.t + 7),
+    "coins": ("coin record", lambda r: tuple(tuple(1 - c for c in cs) for cs in r.coins)),
+    "targets": ("target record", lambda r: tuple(Point(9.0, 9.0) for _ in r.targets)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TAMPER))
+def test_replay_detects_tampered_record_field(field):
+    name, tamper = TAMPER[field]
+    trace = run(make_scenario([(0, 0), (0, 0), (2, 1)], seed=5, max_steps=20))
+    records = tuple(replace(r, **{field: tamper(r)}) for r in trace.records)
+    verdict = replay(replace(trace, records=records))
+    assert not verdict.passed
+    assert verdict.first_divergence == 1
+    assert verdict.message == f"{name} diverges at instant 1"
+
+
+def _edit_first_record(edit):
+    def apply(lines):
+        rec = json.loads(lines[1])
+        edit(rec)
+        lines[1] = json.dumps(rec)
+
+    return apply
+
+
+BAD_RECORDS = {
+    "gap in t": (lambda lines: lines.pop(2), "t = 2, expected 1"),
+    "repeated t": (lambda lines: lines.insert(2, lines[1]), "t = 0, expected 1"),
+    "short positions row": (_edit_first_record(lambda r: r["positions"].pop()), "3 positions"),
+    "coins not aligned": (_edit_first_record(lambda r: r["coins"].pop()), "not aligned"),
+    "targets not aligned": (_edit_first_record(lambda r: r["targets"].append([0, 0])), "not aligned"),
+    "ordinal out of range": (
+        _edit_first_record(lambda r: r["active"].__setitem__(-1, 4)),
+        "out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+def test_load_trace_rejects_inconsistent_record(case, tmp_path):
+    path = tmp_path / "t.trace"
+    write_trace(run(make_scenario([(0, 0), (0, 0), (2, 1), (-1, 1)], max_steps=5)), path)
+    lines = path.read_text().splitlines()
+    edit, reason = BAD_RECORDS[case]
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceFormatError, match=reason):
+        load_trace(path)
+
+
 def test_replay_refuses_digest_mismatch():
     scenario = make_scenario([(0, 0), (1, 1)], seed=3, max_steps=10)
     trace = run(scenario)
@@ -254,6 +307,20 @@ def test_scenario_validation_messages():
         make_scenario([(0, 0)] * 3, protocol="pair_gather").validate()
     with pytest.raises(ScenarioValidationError, match="max_steps"):
         make_scenario([(0, 0)], max_steps=0).validate()
+
+
+@pytest.mark.parametrize(
+    "kind", ["stabilized_pattern", "stabilized_gather", "reference_pattern", "reference_gather"]
+)
+def test_shared_frame_kinds_name_each_missing_capability(kind):
+    pattern = (Point(0, 0), Point(1, 0), Point(2, 0)) if kind.endswith("pattern") else None
+    for multiplicity, missing in ((False, "multiplicity_detection"), (True, "localization_knowledge")):
+        scenario = make_scenario(
+            [(0, 0), (1, 1), (2, 2)], protocol=kind, pattern=pattern, multiplicity=multiplicity
+        )
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario.validate()
+        assert str(err.value) == f"capabilities: protocol {kind} requires {missing}"
 
 
 def test_digest_covers_every_field():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from scattersim import (
     Point,
-    cell_contains,
     compute_voronoi,
     distance,
     own_cell,
@@ -74,8 +73,8 @@ def test_empty_input_rejected():
 
 def test_halfplane_membership_examples():
     cell = own_cell(Point(0, 0), [Point(0, 0), Point(2, 0)])  # x < 1
-    assert cell_contains(cell, Point(0.5, 7))
-    assert not cell_contains(cell, Point(1.0, 0))
+    assert cell.contains(Point(0.5, 7))
+    assert not cell.contains(Point(1.0, 0))
 
 
 def test_membership_matches_oracle_randomized(rng):

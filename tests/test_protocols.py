@@ -28,7 +28,6 @@ from scattersim.errors import (
 )
 from scattersim.protocols import (
     DETERMINISTIC_RULES,
-    DeterministicRule,
     Protocol,
     deterministic_rule_step,
 )
@@ -297,7 +296,7 @@ def test_deterministic_rule_unknown_name():
     with pytest.raises(ScenarioValidationError):
         deterministic_rule_step(view_of([(0, 0)]), "surprise")
     with pytest.raises(ScenarioValidationError):
-        DeterministicRule("surprise")
+        ProtocolSpec("deterministic_rule", rule="surprise").build()
 
 
 def test_protocol_spec_validation():

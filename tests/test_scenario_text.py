@@ -95,6 +95,21 @@ def test_missing_version_rejected():
         parse_scenario_text(text)
 
 
+def test_missing_key_points_to_its_section_header():
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario_text(VALID.replace("count = 3\n", ""))
+    header = VALID.splitlines().index("[robots]") + 1
+    assert err.value.line == header
+    assert str(err.value) == f"line {header}: missing required key 'count' in [robots]"
+
+
+def test_missing_top_level_key_has_no_line():
+    with pytest.raises(ScenarioParseError) as err:
+        parse_scenario_text(VALID.replace("seed = 42\n", ""))
+    assert err.value.line is None
+    assert str(err.value) == "missing required key 'seed' in top level"
+
+
 def test_pattern_points_parse():
     text = (
         VALID.replace("kind = scatter", "kind = stabilized_pattern\npattern = 0,0 1,0 2,0")

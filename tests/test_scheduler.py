@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scattersim import SchedulerSpec, audit_fairness, parse_scheduler
+from scattersim import SchedulerSpec, audit_fairness
 from scattersim.errors import ScenarioValidationError
 
 
@@ -91,11 +91,3 @@ def test_spec_validation():
     with pytest.raises(ScenarioValidationError):
         SchedulerSpec("full_synchronous", 0.5).validate()
     SchedulerSpec("bernoulli", 1.0).validate()
-
-
-def test_parse_scheduler_strings():
-    assert parse_scheduler("full_synchronous") == SchedulerSpec("full_synchronous")
-    assert parse_scheduler("bernoulli:0.25") == SchedulerSpec("bernoulli", 0.25)
-    assert parse_scheduler("bounded_delay:6") == SchedulerSpec("bounded_delay", 6)
-    with pytest.raises(ScenarioValidationError):
-        parse_scheduler("bernoulli:2.0")
