@@ -14,7 +14,7 @@ diagram = compute_voronoi(sites)
 print("sites:", sites)
 for i, cell in enumerate(diagram.cells):
     print(
-        f"cell {i}: {cell.normals.shape[0]} boundary constraints, "
+        f"cell {i}: {cell.normals.shape[0]} bisector half-planes, "
         f"{'bounded' if cell.bounded else 'unbounded'}"
     )
 

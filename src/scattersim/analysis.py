@@ -93,14 +93,6 @@ class PairEventTally:
             return 0.0
         return (self.both_active_move_apart + self.both_active_move_together) / self.instants
 
-    @property
-    def persistence_rate(self) -> float:
-        """Fraction of active instants after which the pair was still together."""
-        if self.active_instants == 0:
-            return 0.0
-        stayed = self.one_active_stay + self.both_active_none_move + self.both_active_move_together
-        return stayed / self.active_instants
-
 
 @dataclass
 class ConvergenceStats:

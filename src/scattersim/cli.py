@@ -29,17 +29,6 @@ OUT_DIR_ENV = "SCATTERSIM_OUT"
 _CSV_POSITIONS_HEADER = "# scattersim csv-positions v1"
 _CSV_SUMMARY_HEADER = "# scattersim csv-summary v1"
 
-SUITES = (
-    "closure",
-    "separation",
-    "decay",
-    "impossibility",
-    "gather",
-    "fairness",
-    "voronoi-oracle",
-)
-
-
 def _default_out(name: str) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, ".")) / name
 
@@ -226,7 +215,7 @@ def _suite_decay(trials: int, seed: int) -> bool:
     )
 
 
-def _suite_impossibility(_trials: int, seed: int) -> bool:
+def _suite_impossibility(seed: int) -> bool:
     ok = True
     for rule in DETERMINISTIC_RULES:
         protocol = ProtocolSpec("deterministic_rule", rule=rule).build()
@@ -302,14 +291,14 @@ def _suite_gather(trials: int, seed: int) -> bool:
     return ok
 
 
-def _suite_fairness(_trials: int, seed: int) -> bool:
+def _suite_fairness(traces: int, seed: int) -> bool:
     from .engine import StepRecord, Trace
 
     ok = True
     window = 5
     worst_fail = None
     rng = np.random.default_rng(seed)
-    for _ in range(100):
+    for _ in range(traces):
         scenario = Scenario(
             robots=tuple(Robot(j, 1.0) for j in range(4)),
             initial=as_configuration([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),
@@ -326,7 +315,7 @@ def _suite_fairness(_trials: int, seed: int) -> bool:
     ok &= _report(
         "fairness bounded_delay",
         worst_fail is None,
-        f"100 seeded traces x 1000 instants audited with window {window}",
+        f"{traces} seeded traces x 1000 instants audited with window {window}",
     )
     # A synthetic trace that never activates robot 2 must be rejected.
     base = next(iter(_closure_scenarios(1, seed)))
@@ -351,31 +340,33 @@ def _suite_fairness(_trials: int, seed: int) -> bool:
     return ok
 
 
-_SUITE_DEFAULT_TRIALS = {
-    "closure": 1000,
-    "separation": 100_000,
-    "decay": 100_000,
-    "impossibility": 1,
-    "gather": 10_000,
-    "fairness": 1,
-    "voronoi-oracle": 10_000,
+# Each suite's function and the default of the count that ``--trials`` sets;
+# a suite whose default is None takes no count.
+SUITES = {
+    "closure": (_suite_closure, 1000),
+    "separation": (_suite_separation, 100_000),
+    "decay": (_suite_decay, 100_000),
+    "impossibility": (_suite_impossibility, None),
+    "gather": (_suite_gather, 10_000),
+    "fairness": (_suite_fairness, 100),
+    "voronoi-oracle": (_suite_voronoi_oracle, 10_000),
 }
 
-_SUITE_FN = {
-    "closure": _suite_closure,
-    "separation": _suite_separation,
-    "decay": _suite_decay,
-    "impossibility": _suite_impossibility,
-    "gather": _suite_gather,
-    "fairness": _suite_fairness,
-    "voronoi-oracle": _suite_voronoi_oracle,
-}
+
+def _trial_count(text: str) -> int:
+    """``--trials``: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def cmd_verify(args) -> int:
-    trials = args.trials if args.trials is not None else _SUITE_DEFAULT_TRIALS[args.suite]
-    ok = _SUITE_FN[args.suite](trials, args.seed)
-    return 0 if ok else 1
+    suite, default = SUITES[args.suite]
+    if default is None:
+        if args.trials is not None:
+            raise ScatterSimError(f"verify {args.suite} takes no --trials")
+        return 0 if suite(args.seed) else 1
+    return 0 if suite(default if args.trials is None else args.trials, args.seed) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--trials", type=int, help="trial count (suite-specific default)")
+    p_verify.add_argument(
+        "--trials", type=_trial_count, help="trial count (suite-specific default)"
+    )
     p_verify.add_argument("--seed", type=int, default=2024)
     p_verify.set_defaults(fn=cmd_verify)
 

@@ -112,19 +112,23 @@ class Scenario:
             if r.index != i:
                 raise ScenarioValidationError("robots: ordinals must be 0..n-1 in order")
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
-            raise ScenarioValidationError("max_steps: must be a positive integer")
+            raise ScenarioValidationError("max_steps: must be a positive integer", "max_steps")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ScenarioValidationError("seed: must be an unsigned 64-bit integer")
+            raise ScenarioValidationError("seed: must be an unsigned 64-bit integer", "seed")
         if self.stop_rule not in STOP_RULES:
-            raise ScenarioValidationError(f"stop_rule: unknown rule {self.stop_rule!r}")
+            raise ScenarioValidationError(
+                f"stop_rule: unknown rule {self.stop_rule!r}", "stop_rule"
+            )
         self.scheduler.validate()
         self.protocol.validate(n=self.n, caps=self.caps)
         if self.stop_rule == "no_multiplicity" and not self.caps.multiplicity_detection:
             raise ScenarioValidationError(
-                "stop_rule: no_multiplicity requires multiplicity_detection"
+                "stop_rule: no_multiplicity requires multiplicity_detection", "stop_rule"
             )
         if self.stop_rule == "pattern_reached" and not self.protocol.pattern:
-            raise ScenarioValidationError("stop_rule: pattern_reached requires a pattern")
+            raise ScenarioValidationError(
+                "stop_rule: pattern_reached requires a pattern", "stop_rule"
+            )
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -247,17 +251,15 @@ def _advance(
     protocol: Protocol,
     caps: Capabilities,
     src: RecordingSource,
-    order=None,
 ):
     active = tuple(sorted(activation))
     if not active:
         raise ScenarioValidationError("activation set must be non-empty")
-    iteration = active if order is None else tuple(order)
     positions = list(config)
     coins_by = {}
     targets_by = {}
     moved = 0
-    for i in iteration:
+    for i in active:
         robot = robots[i]
         view = build_view(config, robot, caps)
         src.begin_robot()
@@ -289,15 +291,12 @@ def step(
     protocol: Protocol,
     caps: Capabilities,
     rng,
-    order=None,
 ) -> tuple[Configuration, StepOutcome]:
     """One computation step. All views read ``config``; each active robot
     moves to its target if within its sigma, else exactly sigma along the
     straight segment toward it."""
     src = rng if isinstance(rng, RecordingSource) else RecordingSource(rng)
-    new_config, outcome, _, _, _ = _advance(
-        config, activation, robots, protocol, caps, src, order=order
-    )
+    new_config, outcome, _, _, _ = _advance(config, activation, robots, protocol, caps, src)
     return new_config, outcome
 
 

@@ -22,7 +22,13 @@ class ContractViolationError(ScatterSimError):
 
 
 class ScenarioValidationError(ScatterSimError, ValueError):
-    """A scenario field is missing, inconsistent, or out of range."""
+    """A scenario field is missing, inconsistent, or out of range; ``field``
+    names its scenario-file key, ``"section.key"`` or a top-level key, when
+    one is at fault (``"scheduler.param"`` is ``p`` or ``window``)."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class NotDeterministicError(ScatterSimError):

@@ -38,18 +38,25 @@ def distance(p: Point, q: Point) -> float:
 @dataclass(frozen=True)
 class VoronoiCell:
     """Open convex region of points strictly nearer to ``site`` than to any
-    rival site.
-
-    ``normals`` (k, 2) and ``offsets`` (k,) encode the constraints
-    ``normals @ q < offsets``. The constraint list is reduced: every row
-    that survives contributes a positive-length edge to the cell boundary.
-    ``bounded`` reports whether the region has finite area.
+    rival site: ``normals @ q < offsets`` for ``normals`` (k, 2) and
+    ``offsets`` (k,), one unreduced bisector half-plane per rival site. A
+    redundant row changes neither membership nor a ray's exit distance.
     """
 
     site: Point
     normals: np.ndarray
     offsets: np.ndarray
-    bounded: bool
+
+    @property
+    def bounded(self) -> bool:
+        """Whether the region has finite area: its normals fit in no closed
+        half-plane (max angular gap below pi). Redundant rows leave the
+        recession cone, and so the answer, unchanged."""
+        if self.normals.shape[0] < 3:
+            return False
+        ang = np.sort(np.arctan2(self.normals[:, 1], self.normals[:, 0]))
+        widest = max(float(np.diff(ang).max()), float(ang[0] + TWO_PI - ang[-1]))
+        return widest < math.pi - 1e-12
 
     def contains(self, q: Sequence[float]) -> bool:
         """Strict membership test; boundary points are outside."""
@@ -75,65 +82,10 @@ class VoronoiDiagram:
         return None
 
 
-def _reduce_constraints(
-    site: Point, normals: np.ndarray, offsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop constraints whose boundary line carries no edge of the cell.
-
-    A constraint is kept iff its line, clipped by all other (closed)
-    constraints, retains positive length. Dropping the rest leaves the
-    region unchanged, including its recession cone.
-    """
-    k = normals.shape[0]
-    if k <= 1:
-        return normals, offsets
-    keep = np.zeros(k, dtype=bool)
-    sx, sy = site
-    for j in range(k):
-        njx, njy = normals[j]
-        cj = offsets[j]
-        nn = njx * njx + njy * njy
-        # Foot of the perpendicular from the site onto the boundary line.
-        t0 = (cj - (njx * sx + njy * sy)) / nn
-        bx = sx + t0 * njx
-        by = sy + t0 * njy
-        ux, uy = -njy, njx
-        others = np.arange(k) != j
-        s = normals[others, 0] * ux + normals[others, 1] * uy
-        r = offsets[others] - (normals[others, 0] * bx + normals[others, 1] * by)
-        scale = np.hypot(normals[others, 0], normals[others, 1]) * math.sqrt(nn)
-        parallel = np.abs(s) <= 1e-14 * scale
-        if np.any(parallel & (r < 0.0)):
-            continue
-        ahead = (~parallel) & (s > 0.0)
-        behind = (~parallel) & (s < 0.0)
-        hi = float(np.min(r[ahead] / s[ahead])) if np.any(ahead) else math.inf
-        lo = float(np.max(r[behind] / s[behind])) if np.any(behind) else -math.inf
-        if hi - lo > 1e-12 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
-                                 abs(hi) if math.isfinite(hi) else 0.0):
-            keep[j] = True
-    if not keep.any():
-        # Numerically degenerate input; fail safe by keeping everything.
-        return normals, offsets
-    return normals[keep], offsets[keep]
-
-
-def _is_bounded(normals: np.ndarray) -> bool:
-    """A half-plane intersection is bounded iff its constraint normals do
-    not all fit inside a closed half-plane (max angular gap below pi)."""
-    if normals.shape[0] < 3:
-        return False
-    ang = np.sort(np.arctan2(normals[:, 1], normals[:, 0]))
-    gaps = np.diff(ang)
-    wrap = ang[0] + TWO_PI - ang[-1]
-    widest = max(float(gaps.max()) if gaps.size else 0.0, float(wrap))
-    return widest < math.pi - 1e-12
-
-
 def own_cell(position: Point, occupied: Sequence[Point]) -> VoronoiCell:
-    """Voronoi cell of ``position`` among the distinct points ``occupied``.
-
-    ``occupied`` must contain ``position`` and must be duplicate-free.
+    """Voronoi cell of ``position`` among the distinct points ``occupied``,
+    one half-plane per other point. ``occupied`` must contain ``position``
+    and must be duplicate-free.
     """
     others = [p for p in occupied if p != position]
     if len(others) == len(occupied):
@@ -143,19 +95,12 @@ def own_cell(position: Point, occupied: Sequence[Point]) -> VoronoiCell:
             site=position,
             normals=np.empty((0, 2), dtype=float),
             offsets=np.empty((0,), dtype=float),
-            bounded=False,
         )
     arr = np.asarray(others, dtype=float)
     sx, sy = position
     normals = arr - (sx, sy)
     offsets = 0.5 * (arr[:, 0] ** 2 + arr[:, 1] ** 2 - (sx * sx + sy * sy))
-    normals, offsets = _reduce_constraints(position, normals, offsets)
-    return VoronoiCell(
-        site=position,
-        normals=normals,
-        offsets=offsets,
-        bounded=_is_bounded(normals),
-    )
+    return VoronoiCell(site=position, normals=normals, offsets=offsets)
 
 
 def compute_voronoi(sites: Sequence[Point]) -> VoronoiDiagram:

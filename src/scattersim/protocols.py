@@ -158,7 +158,7 @@ def deterministic_rule(name: str):
     try:
         return DETERMINISTIC_RULES[name]
     except KeyError:
-        raise ScenarioValidationError(f"unknown deterministic rule {name!r}") from None
+        raise ScenarioValidationError(f"unknown deterministic rule {name!r}", "protocol.rule") from None
 
 
 def deterministic_rule_step(view: View, rule: str = "unit_x") -> Point:
@@ -254,35 +254,43 @@ class ProtocolSpec:
         """Check the spec, then, when given, its fit to ``n`` robots and ``caps``."""
         kind = KINDS.get(self.kind)
         if kind is None:
-            raise ScenarioValidationError(f"unknown protocol kind {self.kind!r}")
+            raise ScenarioValidationError(f"unknown protocol kind {self.kind!r}", "protocol.kind")
         if kind.takes_pattern:
             if not self.pattern:
-                raise ScenarioValidationError(f"protocol {self.kind} needs a pattern")
+                raise ScenarioValidationError(f"protocol {self.kind} needs a pattern", "protocol.pattern")
             if len(set(self.pattern)) != len(self.pattern):
-                raise ScenarioValidationError("pattern points must be pairwise distinct")
+                raise ScenarioValidationError(
+                    "pattern points must be pairwise distinct", "protocol.pattern"
+                )
             if n is not None and len(self.pattern) != n:
                 raise ScenarioValidationError(
-                    f"pattern has {len(self.pattern)} points for {n} robots"
+                    f"pattern has {len(self.pattern)} points for {n} robots", "protocol.pattern"
                 )
         elif self.pattern:
-            raise ScenarioValidationError(f"protocol {self.kind} takes no pattern")
+            raise ScenarioValidationError(f"protocol {self.kind} takes no pattern", "protocol.pattern")
         if self.rule is not None and not kind.takes_rule:
-            raise ScenarioValidationError(f"protocol {self.kind} takes no rule")
+            raise ScenarioValidationError(f"protocol {self.kind} takes no rule", "protocol.rule")
         if kind.takes_rule:
             deterministic_rule(self.rule or "unit_x")
         if caps is not None and kind.shared_frame:
             if not caps.multiplicity_detection:
                 raise ScenarioValidationError(
-                    f"capabilities: protocol {self.kind} requires multiplicity_detection"
+                    f"capabilities: protocol {self.kind} requires multiplicity_detection",
+                    "capabilities.multiplicity_detection",
                 )
             if not caps.localization_knowledge:
                 raise ScenarioValidationError(
-                    f"capabilities: protocol {self.kind} requires localization_knowledge"
+                    f"capabilities: protocol {self.kind} requires localization_knowledge",
+                    "capabilities.localization_knowledge",
                 )
         if n is not None and kind.exact_n is not None and n != kind.exact_n:
-            raise ScenarioValidationError(f"robots: {self.kind} requires exactly n = {kind.exact_n}")
+            raise ScenarioValidationError(
+                f"robots: {self.kind} requires exactly n = {kind.exact_n}", "robots.count"
+            )
         if n is not None and n < kind.min_n:
-            raise ScenarioValidationError(f"robots: protocol {self.kind} requires n >= {kind.min_n}")
+            raise ScenarioValidationError(
+                f"robots: protocol {self.kind} requires n >= {kind.min_n}", "robots.count"
+            )
 
     def build(self) -> Protocol:
         self.validate()

@@ -2,8 +2,9 @@
 
 Format: full-line comments (#), blank lines, [section] headers, and
 ``key = value`` pairs. Top-level keys come before any section. Unknown
-sections or keys are errors. Parse diagnostics carry the offending line
-number; a missing key names its section header's line (none at top level).
+sections or keys are errors. Parse and validation diagnostics carry the
+line of the key at fault; a missing key names its section header's line
+(none at top level).
 
     version = 1
     seed = 42
@@ -38,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Scenario
-from .errors import ScenarioParseError
+from .errors import ScenarioParseError, ScenarioValidationError
 from .geometry import Point
 from .protocols import ProtocolSpec
 from .scheduler import SchedulerSpec
@@ -200,20 +201,29 @@ def parse_scenario_text(text: str) -> Scenario:
     rule = pro.get("rule", (0, None))[1]
     protocol = ProtocolSpec(kind=pkind, pattern=pattern, rule=rule)
 
-    sigma_robots = tuple(
-        Robot(index=i, sigma=sigmas[i], frame=frames[i]) for i in range(count)
-    )
-    scenario = Scenario(
-        robots=sigma_robots,
-        initial=as_configuration(positions),
-        caps=caps,
-        scheduler=scheduler,
-        protocol=protocol,
-        seed=seed,
-        max_steps=max_steps,
-        stop_rule=stop_rule,
-    )
-    scenario.validate()
+    try:
+        sigma_robots = tuple(
+            Robot(index=i, sigma=sigmas[i], frame=frames[i]) for i in range(count)
+        )
+        scenario = Scenario(
+            robots=sigma_robots,
+            initial=as_configuration(positions),
+            caps=caps,
+            scheduler=scheduler,
+            protocol=protocol,
+            seed=seed,
+            max_steps=max_steps,
+            stop_rule=stop_rule,
+        )
+        scenario.validate()
+    except ScenarioValidationError as exc:
+        section, _, key = (exc.field or "").rpartition(".")
+        bucket = sections.get(section, top)
+        keys = ("p", "window") if key == "param" else (key,)
+        line = next((bucket[k][0] for k in keys if k in bucket), headers.get(section or None))
+        if line is None:
+            raise
+        raise ScenarioValidationError(f"line {line}: {exc}", exc.field) from None
     return scenario
 
 

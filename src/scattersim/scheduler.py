@@ -95,15 +95,21 @@ class SchedulerSpec:
 
     def validate(self) -> None:
         if self.kind not in SCHEDULER_KINDS:
-            raise ScenarioValidationError(f"unknown scheduler kind {self.kind!r}")
+            raise ScenarioValidationError(f"unknown scheduler kind {self.kind!r}", "scheduler.kind")
         if self.kind == "bernoulli":
             if self.param is None or not 0.0 < float(self.param) <= 1.0:
-                raise ScenarioValidationError("bernoulli scheduler needs p in (0, 1]")
+                raise ScenarioValidationError(
+                    "bernoulli scheduler needs p in (0, 1]", "scheduler.param"
+                )
         elif self.kind == "bounded_delay":
             if self.param is None or int(self.param) < 1 or int(self.param) != self.param:
-                raise ScenarioValidationError("bounded_delay scheduler needs an integer window >= 1")
+                raise ScenarioValidationError(
+                    "bounded_delay scheduler needs an integer window >= 1", "scheduler.param"
+                )
         elif self.param is not None:
-            raise ScenarioValidationError(f"scheduler {self.kind} takes no parameter")
+            raise ScenarioValidationError(
+                f"scheduler {self.kind} takes no parameter", "scheduler.param"
+            )
 
     def build(self) -> Scheduler:
         self.validate()

@@ -101,7 +101,7 @@ class Robot:
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ScenarioValidationError("sigma must be a positive finite length")
+            raise ScenarioValidationError("sigma must be a positive finite length", "robots.sigma")
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def as_configuration(positions) -> Configuration:
     pts = tuple(Point(float(x), float(y)) for x, y in positions)
     for p in pts:
         if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise ScenarioValidationError(f"non-finite position {p}")
+            raise ScenarioValidationError(f"non-finite position {p}", "robots.positions")
     return pts
 
 

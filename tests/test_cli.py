@@ -175,6 +175,25 @@ def test_verify_unknown_suite_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("suite", ["closure", "voronoi-oracle", "separation", "decay"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trials_below_one_usage_error(suite, trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--trials", trials])
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+def test_verify_impossibility_takes_no_trials(capsys):
+    assert main(["verify", "impossibility", "--trials", "3"]) == 2
+    assert "takes no --trials" in capsys.readouterr().err
+
+
+def test_verify_fairness_trials_sets_the_audited_traces(capsys):
+    assert main(["verify", "fairness", "--trials", "5"]) == 0
+    assert "PASS fairness bounded_delay: 5 seeded traces x 1000" in capsys.readouterr().out
+
+
 def test_verify_voronoi_oracle(capsys):
     assert main(["verify", "voronoi-oracle", "--trials", "500", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -8,12 +8,12 @@ import pytest
 from scattersim import (
     Capabilities,
     Point,
-    ProtocolSpec,
     Robot,
     Scenario,
     SchedulerSpec,
     all_distinct,
     as_configuration,
+    build_view,
     distance,
     load_trace,
     replay,
@@ -98,17 +98,24 @@ def test_movement_cap_invariant_on_random_runs(rng):
             prev = rec.config
 
 
-def test_synchrony_evaluation_order_irrelevant():
-    # Deterministic rule, permuted evaluation order, same configurations.
+def test_every_view_is_built_from_the_pre_step_configuration():
+    # Every robot is active and moves, so a view built after an earlier
+    # robot's move would differ from the pre-step one.
+    class Spy(Protocol):
+        def __init__(self):
+            self.views = []
+
+        def decide(self, view, caps, sigma, rng):
+            self.views.append(view)
+            return Point(view.self_pos.x + 0.5, view.self_pos.y)
+
     config = as_configuration([(0, 0), (1, 0), (4, 4)])
     robots = tuple(Robot(i, 1.0) for i in range(3))
     caps = Capabilities(multiplicity_detection=True, localization_knowledge=True)
-    protocol = ProtocolSpec("reference_gather").build()
-    a, _ = step(config, {0, 1, 2}, robots, protocol, caps, np.random.default_rng(0))
-    b, _ = step(
-        config, {0, 1, 2}, robots, protocol, caps, np.random.default_rng(0), order=(2, 0, 1)
-    )
-    assert a == b
+    spy = Spy()
+    _, outcome = step(config, {0, 1, 2}, robots, spy, caps, np.random.default_rng(0))
+    assert outcome.moved_count == 3
+    assert spy.views == [build_view(config, robot, caps) for robot in robots]
 
 
 def test_stop_rule_checked_before_first_step():

@@ -132,3 +132,27 @@ def test_validation_errors_surface():
     )
     with pytest.raises(ScenarioValidationError, match="n >= 3"):
         parse_scenario_text(two_robot_gather)
+
+
+@pytest.mark.parametrize(
+    "old, new, key_line, message",
+    [
+        ("sigma = 1.0", "sigma = 0.0", "sigma = 0.0", "sigma must be a positive finite length"),
+        (
+            "kind = scatter",
+            "kind = stabilized_gather",
+            "multiplicity_detection = off",
+            "capabilities: protocol stabilized_gather requires multiplicity_detection",
+        ),
+        ("p = 0.5", "p = 1.5", "p = 1.5", "bernoulli scheduler needs p in (0, 1]"),
+        ("p = 0.5\n", "", "[scheduler]", "bernoulli scheduler needs p in (0, 1]"),
+        ("max_steps = 500", "max_steps = 0", "max_steps = 0", "max_steps: must be a positive integer"),
+    ],
+    ids=["sigma", "capabilities", "p", "p-absent", "max_steps"],
+)
+def test_validation_error_names_the_line_of_its_key(old, new, key_line, message):
+    text = VALID.replace(old, new)
+    line = text.splitlines().index(key_line) + 1
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario_text(text)
+    assert str(err.value) == f"line {line}: {message}"
