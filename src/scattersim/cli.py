@@ -353,11 +353,15 @@ SUITES = {
 }
 
 
-def _trial_count(text: str) -> int:
-    """``--trials``: an integer >= 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _integer_at_least(low: int):
+    """argparse type for a decimal integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def cmd_verify(args) -> int:
@@ -386,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument(
-        "--trials", type=_trial_count, help="trial count (suite-specific default)"
+        "--trials", type=_integer_at_least(1), help="trial count (suite-specific default)"
     )
-    p_verify.add_argument("--seed", type=int, default=2024)
+    p_verify.add_argument("--seed", type=_integer_at_least(0), default=2024)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_replay = sub.add_parser("replay", help="re-execute a trace and compare")

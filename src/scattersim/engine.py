@@ -5,6 +5,12 @@ active robot observes the pre-step configuration (so evaluation order
 inside an instant cannot matter), decides a local target, and moves toward
 it by at most its sigma. Inactive robots keep their exact position.
 
+Every robot that observes through the identity frame (its own, or the
+shared one under localization knowledge) sees the same points, so an
+instant builds that view once and hands each such robot a copy that
+differs only in its own position; robots with a private frame get a view
+of their own.
+
 Randomness discipline: one root generator seeded from the scenario. Per
 instant the scheduler draws first, then active robots consume draws in
 ascending ordinal order (each robot: its coin, then any sampling draws).
@@ -38,6 +44,7 @@ from .world import (
     build_view,
     multiplicity_points,
     to_global,
+    to_local,
 )
 
 TRACE_FORMAT = "scattersim-trace"
@@ -259,13 +266,19 @@ def _advance(
     coins_by = {}
     targets_by = {}
     moved = 0
+    shared = None  # the one view that every identity-frame robot observes
     for i in active:
         robot = robots[i]
-        view = build_view(config, robot, caps)
+        frame = IDENTITY_FRAME if caps.localization_knowledge else robot.frame
+        if not frame.is_identity:
+            view = build_view(config, robot, caps)
+        elif shared is None:
+            view = shared = build_view(config, robot, caps)
+        else:
+            view = shared.seen_from(to_local(frame, config[robot.index]))
         src.begin_robot()
         local_target = protocol.decide(view, caps, robot.sigma, src)
         coins_by[i] = src.coins()
-        frame = IDENTITY_FRAME if caps.localization_knowledge else robot.frame
         target = to_global(frame, local_target)
         targets_by[i] = target
         cur = config[i]

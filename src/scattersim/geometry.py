@@ -82,22 +82,28 @@ class VoronoiDiagram:
         return None
 
 
-def own_cell(position: Point, occupied: Sequence[Point]) -> VoronoiCell:
+def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> VoronoiCell:
     """Voronoi cell of ``position`` among the distinct points ``occupied``,
-    one half-plane per other point. ``occupied`` must contain ``position``
-    and must be duplicate-free.
+    one half-plane per other point, in the order of ``occupied``.
+    ``occupied`` is a sequence of points or an (m, 2) float array of them
+    (the rows come out bit-identical either way); it must contain
+    ``position`` and must be duplicate-free.
     """
-    others = [p for p in occupied if p != position]
-    if len(others) == len(occupied):
-        raise ContractViolationError("position is not one of the occupied points")
-    if not others:
+    sx, sy = position
+    if len(occupied) == 1:
+        ox, oy = occupied[0]
+        if ox != sx or oy != sy:
+            raise ContractViolationError("position is not one of the occupied points")
         return VoronoiCell(
             site=position,
             normals=np.empty((0, 2), dtype=float),
             offsets=np.empty((0,), dtype=float),
         )
-    arr = np.asarray(others, dtype=float)
-    sx, sy = position
+    pts = np.asarray(occupied, dtype=float).reshape(-1, 2)
+    rival = (pts[:, 0] != sx) | (pts[:, 1] != sy)
+    if rival.all():
+        raise ContractViolationError("position is not one of the occupied points")
+    arr = pts[rival]
     normals = arr - (sx, sy)
     offsets = 0.5 * (arr[:, 0] ** 2 + arr[:, 1] ** 2 - (sx * sx + sy * sy))
     return VoronoiCell(site=position, normals=normals, offsets=offsets)
@@ -120,7 +126,8 @@ def compute_voronoi(sites: Sequence[Point]) -> VoronoiDiagram:
             raise DistinctSitesError(f"non-finite site {p}")
     if len(set(pts)) != len(pts):
         raise DistinctSitesError("sites must be pairwise distinct")
-    cells = tuple(own_cell(p, pts) for p in pts)
+    occupied = np.asarray(pts, dtype=float)
+    cells = tuple(own_cell(p, occupied) for p in pts)
     return VoronoiDiagram(sites=pts, cells=cells)
 
 

@@ -30,7 +30,9 @@ def scatter_step(view: View, sigma: float, rng) -> Point:
         raise ContractViolationError("observer position missing from view")
     if _flip(rng) == 1:
         return view.self_pos
-    cell = own_cell(view.self_pos, view.points)
+    # A lone point's cell is the whole plane; it needs no array.
+    occupied = view.points if len(view.points) == 1 else view.occupied
+    cell = own_cell(view.self_pos, occupied)
     return sample_in_cell(cell, view.self_pos, sigma, rng)
 
 

@@ -8,7 +8,9 @@ ordering information derived from them, so the population stays anonymous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ContractViolationError, ScenarioValidationError
 from .geometry import Point
@@ -130,12 +132,32 @@ class View:
     ``points`` is sorted lexicographically (a canonical order, independent
     of robot ordinals). ``counts`` is aligned with ``points`` and present
     only under multiplicity detection; without it co-located robots
-    collapse to a single indistinguishable point.
+    collapse to a single indistinguishable point. ``occupied`` gives the
+    same points as an array for the cell kernel.
     """
 
     points: tuple[Point, ...]
     counts: tuple[int, ...] | None
     self_pos: Point
+    # Holds the (m, 2) array of ``points`` once built; shared by the views
+    # that :meth:`seen_from` derives, so an instant builds it at most once.
+    _array_slot: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    @property
+    def occupied(self) -> np.ndarray:
+        """``points`` as a read-only (m, 2) float array, built on first use."""
+        if not self._array_slot:
+            arr = np.array(self.points, dtype=float).reshape(-1, 2)
+            arr.setflags(write=False)
+            self._array_slot.append(arr)
+        return self._array_slot[0]
+
+    def seen_from(self, self_pos: Point) -> View:
+        """The same observation by a robot at ``self_pos``: same ``points``
+        and ``counts`` tuples, same lazily built array."""
+        view = View(self.points, self.counts, self_pos)
+        object.__setattr__(view, "_array_slot", self._array_slot)
+        return view
 
 
 def build_view(config: Configuration, observer: Robot, caps: Capabilities) -> View:

@@ -184,6 +184,20 @@ def test_verify_trials_below_one_usage_error(suite, trials, capsys):
     assert "expected an integer >= 1" in capsys.readouterr().err
 
 
+def test_verify_negative_seed_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "voronoi-oracle", "--trials", "5", "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: expected an integer >= 0, got '-1'" in err
+    assert "Traceback" not in err
+
+
+def test_verify_seed_zero_runs(capsys):
+    assert main(["verify", "voronoi-oracle", "--trials", "5", "--seed", "0"]) == 0
+    assert "PASS voronoi-oracle: 5 queries" in capsys.readouterr().out
+
+
 def test_verify_impossibility_takes_no_trials(capsys):
     assert main(["verify", "impossibility", "--trials", "3"]) == 2
     assert "takes no --trials" in capsys.readouterr().err

@@ -16,12 +16,14 @@ from scattersim import (
     build_view,
     distance,
     load_trace,
+    random_frame,
     replay,
     run,
     scenario_digest,
     step,
     write_trace,
 )
+import scattersim.engine as engine_module
 from scattersim.engine import StepRecord, Trace
 from scattersim.errors import DigestMismatchError, ScenarioValidationError, TraceFormatError
 from scattersim.protocols import Protocol
@@ -98,24 +100,73 @@ def test_movement_cap_invariant_on_random_runs(rng):
             prev = rec.config
 
 
+class ViewSpy(Protocol):
+    """Records each view it is handed and moves the robot, so a view built
+    after an earlier robot's move would differ from the pre-step one."""
+
+    def __init__(self):
+        self.views = []
+
+    def decide(self, view, caps, sigma, rng):
+        self.views.append(view)
+        return Point(view.self_pos.x + 0.5, view.self_pos.y)
+
+
 def test_every_view_is_built_from_the_pre_step_configuration():
-    # Every robot is active and moves, so a view built after an earlier
-    # robot's move would differ from the pre-step one.
-    class Spy(Protocol):
-        def __init__(self):
-            self.views = []
-
-        def decide(self, view, caps, sigma, rng):
-            self.views.append(view)
-            return Point(view.self_pos.x + 0.5, view.self_pos.y)
-
     config = as_configuration([(0, 0), (1, 0), (4, 4)])
     robots = tuple(Robot(i, 1.0) for i in range(3))
     caps = Capabilities(multiplicity_detection=True, localization_knowledge=True)
-    spy = Spy()
+    spy = ViewSpy()
     _, outcome = step(config, {0, 1, 2}, robots, spy, caps, np.random.default_rng(0))
     assert outcome.moved_count == 3
     assert spy.views == [build_view(config, robot, caps) for robot in robots]
+
+
+def _mixed_frame_robots(n_identity, n_random, seed=0):
+    frame_rng = np.random.default_rng(seed)
+    frames = [None] * n_identity + [random_frame(frame_rng) for _ in range(n_random)]
+    np.random.default_rng(seed + 1).shuffle(frames)
+    return tuple(
+        Robot(i, 1.0) if f is None else Robot(i, 1.0, frame=f) for i, f in enumerate(frames)
+    )
+
+
+@pytest.mark.parametrize("localization", [False, True])
+@pytest.mark.parametrize("multiplicity", [False, True])
+def test_shared_views_never_leak_across_frames(localization, multiplicity):
+    robots = _mixed_frame_robots(n_identity=4, n_random=3)
+    assert 0 < sum(r.frame.is_identity for r in robots) < len(robots)
+    config = as_configuration([(0, 0), (0, 0), (1, 0), (4, 4), (4, 4), (-2, 3), (0.5, -1)])
+    caps = Capabilities(multiplicity_detection=multiplicity, localization_knowledge=localization)
+    spy = ViewSpy()
+    step(config, set(range(len(robots))), robots, spy, caps, np.random.default_rng(0))
+    assert len(spy.views) == len(robots)
+    for robot, view in zip(robots, spy.views):
+        expected = build_view(config, robot, caps)
+        assert view == expected
+        assert view.occupied.tobytes() == np.asarray(expected.points, dtype=float).tobytes()
+        assert not view.occupied.flags.writeable  # shared by robots: no rule may edit it
+
+
+@pytest.mark.parametrize("n_identity", [2, 3, 5])
+@pytest.mark.parametrize("n_random", [0, 1, 2])
+@pytest.mark.parametrize("localization", [False, True])
+def test_one_view_built_per_instant_for_identity_frames(
+    monkeypatch, n_identity, n_random, localization
+):
+    calls = []
+
+    def counting_build_view(*args):
+        calls.append(args)
+        return build_view(*args)
+
+    monkeypatch.setattr(engine_module, "build_view", counting_build_view)
+    robots = _mixed_frame_robots(n_identity, n_random)
+    n = len(robots)
+    config = as_configuration([(float(i), 0.0) for i in range(n)])
+    caps = Capabilities(localization_knowledge=localization)
+    step(config, set(range(n)), robots, ViewSpy(), caps, np.random.default_rng(0))
+    assert len(calls) == (1 if localization else 1 + n_random)
 
 
 def test_stop_rule_checked_before_first_step():

@@ -131,6 +131,59 @@ def test_membership_similarity_invariant(data, angle, scale, tx, ty):
     assert before == after
 
 
+# Few distinct values, so points collide and zeros of both signs meet.
+_coords = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]) | st.floats(-1e3, 1e3)
+
+
+def _flip_zero_signs(p: Point) -> Point:
+    return Point(*(-c if c == 0.0 else c for c in p))
+
+
+def _bisectors(position, occupied):
+    """Reference: one bisector half-plane per other point, in input order."""
+    others = [p for p in occupied if p != position]
+    if not others:
+        return np.empty((0, 2)), np.empty((0,))
+    arr = np.array(others, dtype=float)
+    sx, sy = position
+    return arr - (sx, sy), 0.5 * (arr[:, 0] ** 2 + arr[:, 1] ** 2 - (sx * sx + sy * sy))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.lists(st.tuples(_coords, _coords), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_own_cell_array_and_points_give_identical_rows(raw, data):
+    occupied = tuple(dict.fromkeys(Point(x, y) for x, y in raw))  # duplicate-free under ==
+    position = occupied[data.draw(st.integers(0, len(occupied) - 1))]
+    if data.draw(st.booleans()):
+        position = _flip_zero_signs(position)  # equal under ==, different bits
+    array = np.array(occupied, dtype=float)
+    want_normals, want_offsets = _bisectors(position, occupied)
+    for given_occupied in (occupied, array):
+        cell = own_cell(position, given_occupied)
+        assert cell.normals.shape == (len(occupied) - 1, 2)
+        assert cell.normals.tobytes() == want_normals.tobytes()
+        assert cell.offsets.tobytes() == want_offsets.tobytes()
+    outside = Point(data.draw(_coords), data.draw(_coords))
+    if outside not in occupied:
+        for given_occupied in (occupied, array):
+            with pytest.raises(ContractViolationError):
+                own_cell(outside, given_occupied)
+
+
+def test_own_cell_one_point_and_missing_position():
+    for occupied in ((Point(0.0, 1.0),), np.array([[0.0, 1.0]])):
+        cell = own_cell(Point(-0.0, 1.0), occupied)
+        assert cell.normals.shape == (0, 2) and cell.offsets.shape == (0,)
+        with pytest.raises(ContractViolationError):
+            own_cell(Point(1.0, 0.0), occupied)
+    for occupied in ((), np.empty((0, 2))):
+        with pytest.raises(ContractViolationError):
+            own_cell(Point(0.0, 0.0), occupied)
+
+
 def test_sample_postconditions_randomized(rng):
     for _ in range(60):
         k = int(rng.integers(1, 9))
