@@ -24,6 +24,12 @@ STACKED = [(0, 0), (0, 0), (1.5, 0.5), (1.5, 0.5), (-1, 2)]
 GRID = [(0, 0), (0, 0), (1, 0), (0, 1), (1, 1), (1, 1)]  # co-circular unit squares
 COLLAPSED = [(0, 0)] * 8
 DISTINCT = [(0, 0), (2, 0.5), (-1, 1.5), (0.5, -2)]
+# Starts whose cells grow past a few dozen sites, for the numpy path of
+# the cell kernel: 20 stacked pairs, 40 robots on one point, and a 6 x 6
+# integer grid with four stacked corners.
+STACKED_40 = [(0.37 * i - 3.5, 2.9 * ((7 * i) % 11) / 11 - 1.4) for i in range(20)] * 2
+COLLAPSED_40 = [(0, 0)] * 40
+GRID_40 = [(x, y) for x in range(6) for y in range(6)] + [(0, 0), (5, 0), (0, 5), (5, 5)]
 LINE4 = tuple(Point(float(i), 0.0) for i in range(4))
 SCHEDULERS = {
     "full_synchronous": ("full_synchronous", None),
@@ -117,6 +123,13 @@ CASES = {
     "deterministic_rule-default-bernoulli": dict(
         positions=GRID, protocol="deterministic_rule", scheduler=SCHEDULERS["bernoulli"], seed=122
     ),
+    "scatter-bernoulli-stacked-n40": dict(
+        positions=STACKED_40, scheduler=SCHEDULERS["bernoulli"], max_steps=12, seed=123
+    ),
+    "scatter-full_synchronous-collapsed-n40": dict(positions=COLLAPSED_40, max_steps=12, seed=124),
+    "scatter-bounded_delay-grid-n40": dict(
+        positions=GRID_40, scheduler=SCHEDULERS["bounded_delay"], max_steps=12, seed=125
+    ),
 }
 
 VERIFY = {
@@ -131,8 +144,8 @@ VERIFY = {
 
 
 def write_case(name, path):
-    kwargs = dict(CASES[name])
-    write_trace(run(make_scenario(kwargs.pop("positions"), max_steps=60, **kwargs)), path)
+    kwargs = {"max_steps": 60, **CASES[name]}
+    write_trace(run(make_scenario(kwargs.pop("positions"), **kwargs)), path)
 
 
 def verify_output(suite):
