@@ -4,6 +4,16 @@ Voronoi cells are represented per site as an intersection of open
 half-planes, one constraint per rival site. Membership is strict
 everywhere: a point on a bisector belongs to no cell. Position equality
 means bit-equal coordinates; nothing in this module ever snaps or rounds.
+
+The cell kernel (:func:`own_cell`, :func:`sample_in_cell` and
+:meth:`VoronoiCell.contains`) has two forms of its rows, chosen by cell
+size. A cell of at most ``_SMALL_CELL`` sites is worked on as Python
+floats, one row at a time: at a handful of sites each numpy call costs
+more than the whole arithmetic. A larger cell is worked on as numpy
+columns. Both forms do the same IEEE-754 double operations in the same
+order (``x*x`` for a square, no fused multiply-add, an exact minimum) and
+draw the same random numbers, so they give bit-identical cells, samples
+and generator states; ``VoronoiCell`` holds numpy arrays either way.
 """
 
 from __future__ import annotations
@@ -21,6 +31,12 @@ TWO_PI = 2.0 * math.pi
 # Step-length floor, as a fraction of sigma, so a sampled target never
 # rounds back onto the start point.
 _STEP_FLOOR = 1e-3
+
+# Cells of at most this many sites (the own site included, so fewer than
+# _SMALL_CELL rows) take the Python-float path, larger ones the numpy path.
+# Per mover (own_cell + sample_in_cell) the Python path measured cheaper up
+# to about 40 sites and dearer beyond (CHANGES.md has the figures).
+_SMALL_CELL = 32
 
 
 class Point(NamedTuple):
@@ -60,11 +76,30 @@ class VoronoiCell:
 
     def contains(self, q: Sequence[float]) -> bool:
         """Strict membership test; boundary points are outside."""
-        if self.normals.shape[0] == 0:
+        k = self.normals.shape[0]
+        if k == 0:
             return True
-        return bool(
-            np.all(self.normals[:, 0] * q[0] + self.normals[:, 1] * q[1] < self.offsets)
-        )
+        if k < _SMALL_CELL:
+            return _inside_rows(_rows(self), q[0], q[1])
+        return _inside_columns(self.normals[:, 0], self.normals[:, 1], self.offsets, q[0], q[1])
+
+
+def _rows(cell: VoronoiCell) -> list:
+    """The cell's half-planes as Python floats: ``[[nx, ny], offset]`` pairs."""
+    return list(zip(cell.normals.tolist(), cell.offsets.tolist()))
+
+
+def _inside_rows(rows, x: float, y: float) -> bool:
+    """Strict membership of (x, y) on the Python-float rows."""
+    for (nx, ny), off in rows:
+        if not nx * x + ny * y < off:
+            return False
+    return True
+
+
+def _inside_columns(nx: np.ndarray, ny: np.ndarray, offsets: np.ndarray, x: float, y: float) -> bool:
+    """Strict membership of (x, y) on the numpy columns."""
+    return bool((nx * x + ny * y < offsets).all())
 
 
 @dataclass(frozen=True)
@@ -86,8 +121,8 @@ def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> Voronoi
     """Voronoi cell of ``position`` among the distinct points ``occupied``,
     one half-plane per other point, in the order of ``occupied``.
     ``occupied`` is a sequence of points or an (m, 2) float array of them
-    (the rows come out bit-identical either way); it must contain
-    ``position`` and must be duplicate-free.
+    (the rows come out bit-identical either way, and on either path of the
+    kernel); it must contain ``position`` and must be duplicate-free.
     """
     sx, sy = position
     if len(occupied) == 1:
@@ -98,6 +133,23 @@ def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> Voronoi
             site=position,
             normals=np.empty((0, 2), dtype=float),
             offsets=np.empty((0,), dtype=float),
+        )
+    if len(occupied) <= _SMALL_CELL:
+        if isinstance(occupied, np.ndarray):
+            occupied = occupied.tolist()
+        own = sx * sx + sy * sy
+        normals = []  # flat: nx0, ny0, nx1, ny1, ...
+        offsets = []
+        for ox, oy in occupied:
+            if ox != sx or oy != sy:
+                normals += (ox - sx, oy - sy)
+                offsets.append(0.5 * ((ox * ox + oy * oy) - own))
+        if len(offsets) == len(occupied):
+            raise ContractViolationError("position is not one of the occupied points")
+        return VoronoiCell(
+            site=position,
+            normals=np.array(normals, dtype=float).reshape(-1, 2),
+            offsets=np.array(offsets, dtype=float),
         )
     pts = np.asarray(occupied, dtype=float).reshape(-1, 2)
     rival = (pts[:, 0] != sx) | (pts[:, 1] != sy)
@@ -143,33 +195,61 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
     upper end. The returned point is verified to satisfy all three
     postconditions (inside, distinct, within sigma) before it is handed
     back; a fresh direction is drawn on the rare rounding failure.
+
+    A cell of fewer than ``_SMALL_CELL`` rows is read once into Python
+    floats and every ray is cast row by row; a larger one is cast on numpy
+    columns. Both compute each row's slack ``offset - n.current`` once and
+    take the same doubles, so they return the same point after the same
+    draws.
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ContractViolationError("sigma must be a positive finite length")
-    if not cell.contains(current):
-        raise ContractViolationError("current position must lie strictly inside the cell")
-    normals = cell.normals
+    cx, cy = current
     offsets = cell.offsets
-    constrained = normals.shape[0] > 0
-    if constrained:
-        slack = offsets - (normals[:, 0] * current.x + normals[:, 1] * current.y)
+    k = offsets.shape[0]
+    small = k < _SMALL_CELL
+    if k == 0:  # the whole plane: no rows to read, no direction is blocked
+        inside = small = True
+        rows = slack = ()
+    elif small:
+        rows = _rows(cell)
+        inside = _inside_rows(rows, cx, cy)
+        slack = [off - (nx * cx + ny * cy) for (nx, ny), off in rows]
+    else:
+        nx = cell.normals[:, 0]
+        ny = cell.normals[:, 1]
+        slack = offsets - (nx * cx + ny * cy)
+        # slack > 0 exactly when n.current < offset, for IEEE doubles.
+        inside = bool((slack > 0.0).all())
+    if not inside:
+        raise ContractViolationError("current position must lie strictly inside the cell")
     for _ in range(64):
         theta = float(rng.uniform(0.0, TWO_PI))
         ux = math.cos(theta)
         uy = math.sin(theta)
-        if constrained:
-            speed = normals[:, 0] * ux + normals[:, 1] * uy
-            ahead = speed > 0.0
-            d = float(np.min(slack[ahead] / speed[ahead])) if ahead.any() else math.inf
+        d = math.inf
+        if small:
+            for ((rx, ry), _), s in zip(rows, slack):
+                speed = rx * ux + ry * uy
+                if speed > 0.0:
+                    t = s / speed
+                    if t < d:
+                        d = t
         else:
-            d = math.inf
+            speed = nx * ux + ny * uy
+            ahead = speed > 0.0
+            if ahead.any():
+                d = float((slack[ahead] / speed[ahead]).min())
         hi = min(sigma, 0.5 * d)
         lo = sigma * _STEP_FLOOR
         if hi >= lo:
             step = float(rng.uniform(lo, hi))
         else:
             step = 0.5 * hi
-        p = Point(current.x + step * ux, current.y + step * uy)
-        if p != current and distance(current, p) <= sigma and cell.contains(p):
+        p = Point(cx + step * ux, cy + step * uy)
+        if p != current and distance(current, p) <= sigma and (
+            k == 0
+            or (_inside_rows(rows, p.x, p.y) if small else _inside_columns(nx, ny, offsets, p.x, p.y))
+        ):
             return p
     raise GeometryError("could not sample a valid in-cell target after 64 attempts")

@@ -8,10 +8,12 @@ the robot's sigma.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Callable
 
+from . import geometry
 from .errors import CapabilityError, ContractViolationError, ScenarioValidationError
 from .geometry import Point, distance, own_cell, sample_in_cell
 from .world import Capabilities, View
@@ -26,12 +28,16 @@ def scatter_step(view: View, sigma: float, rng) -> Point:
     """Randomized dispersion: on coin 1 stay put, on coin 0 move to a fresh
     point inside the open Voronoi cell of the robot's position (taken among
     the distinct occupied positions)."""
-    if not view.points or view.self_pos not in view.points:
+    points = view.points
+    # ``build_view`` sorts the points, so a bisection finds the observer;
+    # the scan answers for a view built in any other order.
+    i = bisect_left(points, view.self_pos)
+    if not (i < len(points) and points[i] == view.self_pos) and view.self_pos not in points:
         raise ContractViolationError("observer position missing from view")
     if _flip(rng) == 1:
         return view.self_pos
-    # A lone point's cell is the whole plane; it needs no array.
-    occupied = view.points if len(view.points) == 1 else view.occupied
+    # Only the numpy path of the cell kernel reads the shared array.
+    occupied = points if len(points) <= geometry._SMALL_CELL else view.occupied
     cell = own_cell(view.self_pos, occupied)
     return sample_in_cell(cell, view.self_pos, sigma, rng)
 

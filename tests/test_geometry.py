@@ -2,17 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scattersim import (
     Point,
+    geometry,
     compute_voronoi,
     distance,
     own_cell,
     sample_in_cell,
 )
-from scattersim.errors import ContractViolationError, DistinctSitesError
+from scattersim.errors import ContractViolationError, DistinctSitesError, GeometryError
 
 from conftest import bisector_clearance, nearest_site
 
@@ -182,6 +183,73 @@ def test_own_cell_one_point_and_missing_position():
     for occupied in ((), np.empty((0, 2))):
         with pytest.raises(ContractViolationError):
             own_cell(Point(0.0, 0.0), occupied)
+
+
+def _kernel_on_path(path, position, occupied, current, sigma, seed):
+    """Everything the cell kernel produces on one path: the rows, the sample
+    (or the error) and the generator state after it, and two memberships."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_SMALL_CELL", {"numpy": 1, "python": 10**9}[path])
+        cell = own_cell(position, occupied)
+        rng = np.random.default_rng(seed)
+        try:
+            out = sample_in_cell(cell, current, sigma, rng)
+        except (ContractViolationError, GeometryError) as exc:
+            out = (type(exc), str(exc))
+        return (
+            cell.normals.shape,
+            cell.normals.tobytes(),
+            cell.offsets.tobytes(),
+            out,
+            rng.bit_generator.state,
+            cell.contains(current),
+            cell.contains(position),
+        )
+
+
+# Small integers (co-circular grids), zeros of both signs, and any float.
+_grid_coords = st.integers(-3, 3).map(float) | st.just(-0.0) | st.floats(-4, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=geometry._SMALL_CELL + 8),
+    scale_exp=st.integers(-8, 8),
+    sigma_exp=st.integers(-12, 2),
+    pick=st.integers(0, 100),
+    flip=st.booleans(),
+    from_rival=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(raw=[(0.0, 0.0)], scale_exp=0, sigma_exp=0, pick=0, flip=True, from_rival=False, seed=1)
+# hi < lo: the cell is 1e-8 wide and sigma is 1.
+@example(
+    raw=[(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)],
+    scale_exp=-8, sigma_exp=0, pick=0, flip=False, from_rival=False, seed=2,
+)
+# Every step rounds back onto the start, so all 64 attempts are retried.
+@example(
+    raw=[(3.0, 3.0), (2.0, 3.0), (3.0, 2.0)],
+    scale_exp=8, sigma_exp=-12, pick=0, flip=False, from_rival=False, seed=3,
+)
+def test_small_and_large_cell_paths_agree_bytewise(raw, scale_exp, sigma_exp, pick, flip, from_rival, seed):
+    scale = 10.0**scale_exp
+    occupied = tuple(dict.fromkeys(Point(x * scale, y * scale) for x, y in raw))
+    position = occupied[pick % len(occupied)]
+    if flip:
+        position = _flip_zero_signs(position)  # equal under ==, different bits
+    current = occupied[(pick + 1) % len(occupied)] if from_rival else position
+    sigma = 10.0**sigma_exp
+    array = np.array(occupied, dtype=float)
+    reference = _kernel_on_path("numpy", position, array, current, sigma, seed)
+    for path in ("numpy", "python"):
+        for given_occupied in (occupied, array):
+            assert _kernel_on_path(path, position, given_occupied, current, sigma, seed) == reference
+    if not reference[-2]:
+        assert reference[3] == (
+            ContractViolationError,
+            "current position must lie strictly inside the cell",
+        )
 
 
 def test_sample_postconditions_randomized(rng):

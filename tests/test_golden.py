@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from scattersim import Point, load_trace, replay, run, write_trace
+from scattersim import Point, geometry, load_trace, replay, run, write_trace
 from scattersim.cli import main
 
 from conftest import make_scenario
@@ -162,6 +162,18 @@ def test_golden_trace_bytes(name, tmp_path):
     write_case(name, fresh)
     assert fresh.read_bytes() == golden.read_bytes()
     assert replay(load_trace(golden)).passed
+
+
+def test_golden_corpus_covers_both_cell_paths():
+    """Some golden scatter trace steps from a configuration with more
+    occupied positions than the Python-float path of the cell kernel
+    takes, so its cells go through the numpy path, and some trace never
+    does."""
+    widest = [
+        max(len(set(c)) for c in list(load_trace(path).configs())[:-1])
+        for path in sorted(GOLDEN.glob("scatter-*.trace"))
+    ]
+    assert min(widest) <= geometry._SMALL_CELL < max(widest)
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY))
