@@ -197,10 +197,12 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
     back; a fresh direction is drawn on the rare rounding failure.
 
     A cell of fewer than ``_SMALL_CELL`` rows is read once into Python
-    floats and every ray is cast row by row; a larger one is cast on numpy
-    columns. Both compute each row's slack ``offset - n.current`` once and
-    take the same doubles, so they return the same point after the same
-    draws.
+    floats and every ray is cast row by row, since numpy's per-call
+    overhead outweighs so little arithmetic; a larger cell is cast on
+    numpy columns. Both do the same double operations in the same order
+    (each row's slack ``offset - n.current`` once, then the exact minimum
+    of slack/speed over the rows ahead), so they return the same point
+    after the same draws.
     """
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ContractViolationError("sigma must be a positive finite length")
@@ -210,7 +212,6 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
     small = k < _SMALL_CELL
     if k == 0:  # the whole plane: no rows to read, no direction is blocked
         inside = small = True
-        rows = slack = ()
     elif small:
         rows = _rows(cell)
         inside = _inside_rows(rows, cx, cy)
@@ -228,18 +229,18 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
         ux = math.cos(theta)
         uy = math.sin(theta)
         d = math.inf
-        if small:
+        if not small:
+            speed = nx * ux + ny * uy
+            ahead = speed > 0.0
+            if ahead.any():
+                d = float((slack[ahead] / speed[ahead]).min())
+        elif k:
             for ((rx, ry), _), s in zip(rows, slack):
                 speed = rx * ux + ry * uy
                 if speed > 0.0:
                     t = s / speed
                     if t < d:
                         d = t
-        else:
-            speed = nx * ux + ny * uy
-            ahead = speed > 0.0
-            if ahead.any():
-                d = float((slack[ahead] / speed[ahead]).min())
         hi = min(sigma, 0.5 * d)
         lo = sigma * _STEP_FLOOR
         if hi >= lo:
