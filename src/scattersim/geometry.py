@@ -122,7 +122,9 @@ def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> Voronoi
     one half-plane per other point, in the order of ``occupied``.
     ``occupied`` is a sequence of points or an (m, 2) float array of them
     (the rows come out bit-identical either way, and on either path of the
-    kernel); it must contain ``position`` and must be duplicate-free.
+    kernel, for float coordinates: the Python path squares an integer
+    coordinate exactly where an array would round it first); it must
+    contain ``position`` and must be duplicate-free.
     """
     sx, sy = position
     if len(occupied) == 1:

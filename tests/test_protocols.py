@@ -95,8 +95,7 @@ def test_colocated_movers_never_land_together():
     assert pairs == 100_000
 
 
-@pytest.mark.parametrize("coin", [0, 1])
-def test_scatter_requires_self_in_view(coin):
+def test_scatter_requires_self_in_view():
     # More points than the small-cell path takes, so the numpy path runs.
     grid = tuple(sorted(Point(float(i % 7), float(i // 7)) for i in range(geometry._SMALL_CELL + 4)))
     missing = [
@@ -105,11 +104,6 @@ def test_scatter_requires_self_in_view(coin):
         View(points=grid, counts=None, self_pos=Point(0.5, 0.5)),
         View(points=grid[::-1], counts=None, self_pos=Point(0.5, 0.5)),
     ]
-    for bad in missing:
-        src = ScriptedSource([coin])
-        with pytest.raises(ContractViolationError, match="^observer position missing from view$"):
-            scatter_step(bad, 1.0, src)
-        assert src._coins == [coin]  # checked before the coin is drawn
     # Present, whether the view is sorted as build_view makes it or not,
     # and under either sign of zero.
     present = [
@@ -118,9 +112,15 @@ def test_scatter_requires_self_in_view(coin):
         View(points=grid, counts=None, self_pos=Point(-0.0, 1.0)),
         View(points=(Point(2, 2), Point(0, 0), Point(1, 1)), counts=None, self_pos=Point(0, 0)),
     ]
-    for view in present:
-        target = scatter_step(view, 1.0, ScriptedSource([coin]))
-        assert (target == view.self_pos) == (coin == 1)
+    for coin in (0, 1):  # a move and a stay
+        for bad in missing:
+            src = ScriptedSource([coin])
+            with pytest.raises(ContractViolationError, match="^observer position missing from view$"):
+                scatter_step(bad, 1.0, src)
+            assert src._coins == [coin]  # checked before the coin is drawn
+        for view in present:
+            target = scatter_step(view, 1.0, ScriptedSource([coin]))
+            assert (target == view.self_pos) == (coin == 1)
 
 
 def test_scatter_similarity_invariance(rng):
