@@ -5,15 +5,16 @@ half-planes, one constraint per rival site. Membership is strict
 everywhere: a point on a bisector belongs to no cell. Position equality
 means bit-equal coordinates; nothing in this module ever snaps or rounds.
 
-The cell kernel (:func:`own_cell`, :func:`sample_in_cell` and
-:meth:`VoronoiCell.contains`) has two forms of its rows, chosen by cell
-size. A cell of at most ``_SMALL_CELL`` sites is worked on as Python
-floats, one row at a time: at a handful of sites each numpy call costs
-more than the whole arithmetic. A larger cell is worked on as numpy
-columns. Both forms do the same IEEE-754 double operations in the same
-order (``x*x`` for a square, no fused multiply-add, an exact minimum) and
-draw the same random numbers, so they give bit-identical cells, samples
-and generator states; ``VoronoiCell`` holds numpy arrays either way.
+The cell kernel (:func:`own_cell` and :func:`sample_in_cell`) has two
+forms of its rows, chosen by cell size. A cell of at most ``SMALL_CELL``
+sites is worked on as Python floats, one row at a time: at a handful of
+sites each numpy call costs more than the whole arithmetic. A larger cell
+is worked on as numpy columns. Both forms do the same IEEE-754 double
+operations in the same order (``x*x`` for a square, no fused multiply-add,
+an exact minimum) and draw the same random numbers, so they give
+bit-identical cells, samples and generator states; ``VoronoiCell`` holds
+numpy arrays either way, and :meth:`VoronoiCell.contains`, which no hot
+loop calls, reads them as columns.
 """
 
 from __future__ import annotations
@@ -33,10 +34,11 @@ TWO_PI = 2.0 * math.pi
 _STEP_FLOOR = 1e-3
 
 # Cells of at most this many sites (the own site included, so fewer than
-# _SMALL_CELL rows) take the Python-float path, larger ones the numpy path.
+# SMALL_CELL rows) take the Python-float path, larger ones the numpy path.
 # Per mover (own_cell + sample_in_cell) the Python path measured cheaper up
-# to about 40 sites and dearer beyond (CHANGES.md has the figures).
-_SMALL_CELL = 32
+# to about 40 sites and dearer beyond (CHANGES.md has the figures). A caller
+# holding both the points and their array passes the points up to this size.
+SMALL_CELL = 32
 
 
 class Point(NamedTuple):
@@ -79,8 +81,6 @@ class VoronoiCell:
         k = self.normals.shape[0]
         if k == 0:
             return True
-        if k < _SMALL_CELL:
-            return _inside_rows(_rows(self), q[0], q[1])
         return _inside_columns(self.normals[:, 0], self.normals[:, 1], self.offsets, q[0], q[1])
 
 
@@ -120,11 +120,11 @@ class VoronoiDiagram:
 def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> VoronoiCell:
     """Voronoi cell of ``position`` among the distinct points ``occupied``,
     one half-plane per other point, in the order of ``occupied``.
-    ``occupied`` is a sequence of points or an (m, 2) float array of them
-    (the rows come out bit-identical either way, and on either path of the
-    kernel, for float coordinates: the Python path squares an integer
-    coordinate exactly where an array would round it first); it must
-    contain ``position`` and must be duplicate-free.
+    ``occupied`` is a sequence of points or an (m, 2) array of them, and
+    every coordinate is rounded to a double before it is compared or
+    subtracted, so the rows come out bit-identical either way and on either
+    path of the kernel; it must contain ``position`` and must be
+    duplicate-free.
     """
     sx, sy = position
     if len(occupied) == 1:
@@ -136,13 +136,19 @@ def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> Voronoi
             normals=np.empty((0, 2), dtype=float),
             offsets=np.empty((0,), dtype=float),
         )
-    if len(occupied) <= _SMALL_CELL:
+    if len(occupied) <= SMALL_CELL:
         if isinstance(occupied, np.ndarray):
             occupied = occupied.tolist()
         own = sx * sx + sy * sy
+        # ``* 1.0`` rounds an int to a double, as an array does, and keeps
+        # the sign of a zero.
+        sx *= 1.0
+        sy *= 1.0
         normals = []  # flat: nx0, ny0, nx1, ny1, ...
         offsets = []
         for ox, oy in occupied:
+            ox *= 1.0
+            oy *= 1.0
             if ox != sx or oy != sy:
                 normals += (ox - sx, oy - sy)
                 offsets.append(0.5 * ((ox * ox + oy * oy) - own))
@@ -198,7 +204,7 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
     postconditions (inside, distinct, within sigma) before it is handed
     back; a fresh direction is drawn on the rare rounding failure.
 
-    A cell of fewer than ``_SMALL_CELL`` rows is read once into Python
+    A cell of fewer than ``SMALL_CELL`` rows is read once into Python
     floats and every ray is cast row by row, since numpy's per-call
     overhead outweighs so little arithmetic; a larger cell is cast on
     numpy columns. Both do the same double operations in the same order
@@ -211,7 +217,7 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
     cx, cy = current
     offsets = cell.offsets
     k = offsets.shape[0]
-    small = k < _SMALL_CELL
+    small = k < SMALL_CELL
     if k == 0:  # the whole plane: no rows to read, no direction is blocked
         inside = small = True
     elif small:

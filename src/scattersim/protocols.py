@@ -37,7 +37,7 @@ def scatter_step(view: View, sigma: float, rng) -> Point:
     if _flip(rng) == 1:
         return view.self_pos
     # Only the numpy path of the cell kernel reads the shared array.
-    occupied = points if len(points) <= geometry._SMALL_CELL else view.occupied
+    occupied = points if len(points) <= geometry.SMALL_CELL else view.occupied
     cell = own_cell(view.self_pos, occupied)
     return sample_in_cell(cell, view.self_pos, sigma, rng)
 

@@ -189,7 +189,7 @@ def _kernel_on_path(path, position, occupied, current, sigma, seed):
     """Everything the cell kernel produces on one path: the rows, the sample
     (or the error) and the generator state after it, and two memberships."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_SMALL_CELL", {"numpy": 1, "python": 10**9}[path])
+        mp.setattr(geometry, "SMALL_CELL", {"numpy": 1, "python": 10**9}[path])
         cell = own_cell(position, occupied)
         rng = np.random.default_rng(seed)
         try:
@@ -213,7 +213,7 @@ _grid_coords = st.integers(-3, 3).map(float) | st.just(-0.0) | st.floats(-4, 4)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    raw=st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=geometry._SMALL_CELL + 8),
+    raw=st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=geometry.SMALL_CELL + 8),
     scale_exp=st.integers(-8, 8),
     sigma_exp=st.integers(-12, 2),
     pick=st.integers(0, 100),
@@ -250,6 +250,27 @@ def test_small_and_large_cell_paths_agree_bytewise(raw, scale_exp, sigma_exp, pi
             ContractViolationError,
             "current position must lie strictly inside the cell",
         )
+
+
+# Exact as doubles up to 2**53 (their squares are not), rounded beyond.
+_int_coords = st.integers(-(2**40), 2**40) | st.integers(-(2**60), 2**60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=st.lists(st.tuples(_int_coords, _int_coords), min_size=1, max_size=geometry.SMALL_CELL + 8, unique=True),
+    pick=st.integers(0, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_int_coordinates_round_to_doubles_on_both_paths(raw, pick, seed):
+    """Int coordinates are rounded to doubles before any arithmetic, as
+    an array rounds them, so both paths give the rows of the float input."""
+    occupied = tuple(Point(x, y) for x, y in raw)
+    position = occupied[pick % len(occupied)]
+    reference = _kernel_on_path("numpy", position, np.array(occupied, dtype=float), position, 1.0, seed)
+    for path in ("numpy", "python"):
+        for given_occupied in (occupied, np.array(occupied)):
+            assert _kernel_on_path(path, position, given_occupied, position, 1.0, seed) == reference
 
 
 def test_sample_postconditions_randomized(rng):

@@ -173,7 +173,7 @@ def test_golden_corpus_covers_both_cell_paths():
         max(len(set(c)) for c in list(load_trace(path).configs())[:-1])
         for path in sorted(GOLDEN.glob("scatter-*.trace"))
     ]
-    assert min(widest) <= geometry._SMALL_CELL < max(widest)
+    assert min(widest) <= geometry.SMALL_CELL < max(widest)
 
 
 @pytest.mark.parametrize("suite", sorted(VERIFY))

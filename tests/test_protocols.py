@@ -97,7 +97,7 @@ def test_colocated_movers_never_land_together():
 
 def test_scatter_requires_self_in_view():
     # More points than the small-cell path takes, so the numpy path runs.
-    grid = tuple(sorted(Point(float(i % 7), float(i // 7)) for i in range(geometry._SMALL_CELL + 4)))
+    grid = tuple(sorted(Point(float(i % 7), float(i // 7)) for i in range(geometry.SMALL_CELL + 4)))
     missing = [
         View(points=(Point(1, 1),), counts=None, self_pos=Point(0, 0)),
         View(points=(), counts=None, self_pos=Point(0, 0)),
