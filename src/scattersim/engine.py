@@ -15,6 +15,13 @@ Randomness discipline: one root generator seeded from the scenario. Per
 instant the scheduler draws first, then active robots consume draws in
 ascending ordinal order (each robot: its coin, then any sampling draws).
 That ordering is what makes replay bit-exact.
+
+Robots draw through :class:`RecordingSource`, which calls the generator's
+bit generator directly: a coin is ``next_uint32 >> 31`` and a uniform is
+``low + (high - low) * next_double``, the draws numpy's
+``integers(0, 2)`` and ``uniform`` make. This rests on those two numpy
+algorithms staying as they are; ``tests/test_random_source.py`` checks
+the mapping against numpy itself and the golden traces pin its output.
 """
 
 from __future__ import annotations
@@ -41,10 +48,10 @@ from .world import (
     Robot,
     all_distinct,
     as_configuration,
+    as_point,
     build_view,
     multiplicity_points,
     to_global,
-    to_local,
 )
 
 TRACE_FORMAT = "scattersim-trace"
@@ -64,22 +71,45 @@ class RecordingSource:
     Integer draws are the protocol coins and are logged per robot so the
     trace can record them; the total draw count lets harnesses verify that
     a rule is coin-free.
+
+    Draws go straight to the generator's bit generator, which skips
+    numpy's per-call argument handling but keeps its algorithms: the fair
+    coin ``integers(0, 2)`` is Lemire's bounded draw on one 32-bit word,
+    ``next_uint32 >> 31``, and ``uniform(low, high)`` is
+    ``low + (high - low) * next_double``. Nothing is buffered here, so the
+    generator is always in the state numpy's own calls would leave it in.
     """
 
     def __init__(self, generator):
+        if not isinstance(generator, np.random.Generator):
+            raise TypeError(
+                f"RecordingSource needs a numpy.random.Generator, not {type(generator).__name__}"
+            )
         self._g = generator
+        bits = generator.bit_generator.ctypes
+        self._state = bits.state
+        self._next_uint32 = bits.next_uint32
+        self._next_double = bits.next_double
         self.total_draws = 0
         self._coins: list[int] = []
 
     def integers(self, low: int, high: int) -> int:
+        """The fair coin: ``integers(0, 2)`` is the only range served."""
+        if low != 0 or high != 2:
+            raise ValueError(f"only the fair coin integers(0, 2) is drawn, not ({low}, {high})")
         self.total_draws += 1
-        value = int(self._g.integers(low, high))
+        value = self._next_uint32(self._state) >> 31
         self._coins.append(value)
         return value
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        span = high - low
+        if not 0.0 <= span < math.inf:  # numpy's argument checks, in its order
+            if math.isfinite(span):
+                raise ValueError("high - low < 0")
+            raise OverflowError("high - low range exceeds valid bounds")
         self.total_draws += 1
-        return float(self._g.uniform(low, high))
+        return low + span * self._next_double(self._state)
 
     def begin_robot(self) -> None:
         self._coins = []
@@ -270,26 +300,31 @@ def _advance(
     for i in active:
         robot = robots[i]
         frame = IDENTITY_FRAME if caps.localization_knowledge else robot.frame
-        if not frame.is_identity:
+        identity = frame.is_identity
+        if not identity:
             view = build_view(config, robot, caps)
         elif shared is None:
             view = shared = build_view(config, robot, caps)
         else:
-            view = shared.seen_from(to_local(frame, config[robot.index]))
+            view = shared.seen_from(as_point(config[robot.index]))
         src.begin_robot()
         local_target = protocol.decide(view, caps, robot.sigma, src)
         coins_by[i] = src.coins()
-        target = to_global(frame, local_target)
+        # The identity frame's to_global would only copy the point.
+        target = as_point(local_target) if identity else to_global(frame, local_target)
         targets_by[i] = target
         cur = config[i]
-        d = distance(cur, target)
-        if d <= robot.sigma:
-            new = Point(target.x, target.y)
+        if target == cur:  # a stay: the target is the new position as it is
+            new = target
         else:
-            f = robot.sigma / d
-            new = Point(cur.x + f * (target.x - cur.x), cur.y + f * (target.y - cur.y))
-        if new != cur:
-            moved += 1
+            d = distance(cur, target)
+            if d <= robot.sigma:
+                new = target
+            else:
+                f = robot.sigma / d
+                new = Point(cur[0] + f * (target.x - cur[0]), cur[1] + f * (target.y - cur[1]))
+            if new != cur:
+                moved += 1
         positions[i] = new
     outcome = StepOutcome(activated_count=len(active), moved_count=moved)
     coins = tuple(coins_by[i] for i in active)
@@ -307,7 +342,8 @@ def step(
 ) -> tuple[Configuration, StepOutcome]:
     """One computation step. All views read ``config``; each active robot
     moves to its target if within its sigma, else exactly sigma along the
-    straight segment toward it."""
+    straight segment toward it. ``rng`` is a numpy Generator, or a
+    :class:`RecordingSource`, which is used as it is."""
     src = rng if isinstance(rng, RecordingSource) else RecordingSource(rng)
     new_config, outcome, _, _, _ = _advance(config, activation, robots, protocol, caps, src)
     return new_config, outcome

@@ -8,6 +8,7 @@ active at least once within every window of consecutive instants.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import ScenarioValidationError
@@ -34,7 +35,12 @@ class FullSynchronous(Scheduler):
 
 class Bernoulli(Scheduler):
     """Each robot independently with probability p; an empty draw is
-    redrawn whole, which keeps inclusion symmetric across robots."""
+    redrawn whole, which keeps inclusion symmetric across robots.
+
+    Robot i is in when the i-th double of ``rng.random(n)`` is below p.
+    The doubles are compared in Python: at the small n of most campaigns
+    a numpy mask costs more than the comparisons it vectorizes.
+    """
 
     kind = "bernoulli"
 
@@ -42,10 +48,11 @@ class Bernoulli(Scheduler):
         self.p = p
 
     def next_activation(self, n, rng):
+        p = self.p
         while True:
-            mask = rng.random(n) < self.p
-            if mask.any():
-                return frozenset(int(i) for i in mask.nonzero()[0])
+            chosen = [i for i, u in enumerate(rng.random(n).tolist()) if u < p]
+            if chosen:
+                return frozenset(chosen)
 
 
 class RoundRobin(Scheduler):
@@ -77,8 +84,8 @@ class BoundedDelay(Scheduler):
             self._idle = [0] * n
         forced = {i for i in range(n) if self._idle[i] >= self.window - 1}
         while True:
-            mask = rng.random(n) < _BOUNDED_DELAY_P
-            chosen = forced | {int(i) for i in mask.nonzero()[0]}
+            draws = rng.random(n).tolist()
+            chosen = forced | {i for i, u in enumerate(draws) if u < _BOUNDED_DELAY_P}
             if chosen:
                 break
         for i in range(n):
@@ -96,13 +103,17 @@ class SchedulerSpec:
     def validate(self) -> None:
         if self.kind not in SCHEDULER_KINDS:
             raise ScenarioValidationError(f"unknown scheduler kind {self.kind!r}", "scheduler.kind")
+        param = self.param
+        # A number, not a bool or a string; NaN fails every comparison below.
+        number = isinstance(param, numbers.Real) and not isinstance(param, bool)
         if self.kind == "bernoulli":
-            if self.param is None or not 0.0 < float(self.param) <= 1.0:
+            if not (number and 0.0 < param <= 1.0):
                 raise ScenarioValidationError(
                     "bernoulli scheduler needs p in (0, 1]", "scheduler.param"
                 )
         elif self.kind == "bounded_delay":
-            if self.param is None or int(self.param) < 1 or int(self.param) != self.param:
+            # inf % 1 is NaN, so an infinite window is not an integer.
+            if not (number and param >= 1 and param % 1 == 0):
                 raise ScenarioValidationError(
                     "bounded_delay scheduler needs an integer window >= 1", "scheduler.param"
                 )

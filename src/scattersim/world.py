@@ -54,6 +54,12 @@ class LocalFrame:
 IDENTITY_FRAME = LocalFrame()
 
 
+def as_point(p) -> Point:
+    """``p`` as a :class:`Point` holding the same floats; a Point is
+    returned as it is. This is all the identity frame's transforms do."""
+    return p if type(p) is Point else Point(p[0], p[1])
+
+
 def to_local(frame: LocalFrame, p: Point) -> Point:
     """Express a global point in the frame. Identity frames pass
     coordinates through bit-exactly."""
@@ -174,10 +180,15 @@ def build_view(config: Configuration, observer: Robot, caps: Capabilities) -> Vi
     tally: dict[Point, int] = {}
     for p in config:
         tally[p] = tally.get(p, 0) + 1
-    pairs = sorted((to_local(frame, p), c) for p, c in tally.items())
-    points = tuple(p for p, _ in pairs)
+    if frame.is_identity:
+        pairs = sorted(tally.items())
+        self_pos = as_point(config[observer.index])
+    else:
+        pairs = sorted((to_local(frame, p), c) for p, c in tally.items())
+        self_pos = to_local(frame, config[observer.index])
+    points = tuple(as_point(p) for p, _ in pairs)
     counts = tuple(c for _, c in pairs) if caps.multiplicity_detection else None
-    return View(points=points, counts=counts, self_pos=to_local(frame, config[observer.index]))
+    return View(points=points, counts=counts, self_pos=self_pos)
 
 
 def multiplicity_points(config: Configuration) -> tuple[tuple[Point, int], ...]:

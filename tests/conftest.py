@@ -7,6 +7,7 @@ from scattersim import (
     Capabilities,
     Point,
     ProtocolSpec,
+    RecordingSource,
     Robot,
     Scenario,
     SchedulerSpec,
@@ -15,21 +16,22 @@ from scattersim import (
 )
 
 
-class ScriptedSource:
+class ScriptedSource(RecordingSource):
     """Random source with scripted coin outcomes; continuous draws come
-    from a real seeded generator so geometry stays honest."""
+    from a real seeded generator so geometry stays honest. Coins are
+    recorded as the engine records real ones, so ``step`` takes it as is."""
 
     def __init__(self, coins, seed=0):
-        self._coins = list(coins)
-        self._g = np.random.default_rng(seed)
+        super().__init__(np.random.default_rng(seed))
+        self._script = list(coins)
 
     def integers(self, low, high):
-        if not self._coins:
+        if not self._script:
             raise AssertionError("script exhausted: unexpected coin draw")
-        return int(self._coins.pop(0))
-
-    def uniform(self, low=0.0, high=1.0):
-        return float(self._g.uniform(low, high))
+        self.total_draws += 1
+        value = int(self._script.pop(0))
+        self._coins.append(value)
+        return value
 
 
 def nearest_site(q, sites):

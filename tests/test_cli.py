@@ -238,3 +238,25 @@ def test_verify_fairness(capsys):
 def test_missing_file_reports_error(capsys):
     assert main(["run", "/nonexistent/file.scn"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_replay_rejects_an_infinite_window_in_the_header(tmp_path, capsys):
+    # JSON allows Infinity, so a trace header can carry a window no
+    # scenario file could; replay reports it like any invalid scenario.
+    from scattersim.engine import scenario_digest, scenario_from_dict
+
+    scn = tmp_path / "bd.scn"
+    scn.write_text(SCATTER_SCN.replace("kind = full_synchronous", "kind = bounded_delay\nwindow = 3"))
+    out = tmp_path / "bd.trace"
+    assert main(["run", str(scn), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["scenario"]["scheduler"]["param"] = float("inf")
+    header["digest"] = scenario_digest(scenario_from_dict(header["scenario"]))
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    assert "Infinity" in lines[0]
+    forged = tmp_path / "inf.trace"
+    forged.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(forged)]) == 2
+    assert "bounded_delay scheduler needs an integer window >= 1" in capsys.readouterr().err

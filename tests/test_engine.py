@@ -4,10 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scattersim import (
+    IDENTITY_FRAME,
     Capabilities,
     Point,
+    ProtocolSpec,
     Robot,
     Scenario,
     SchedulerSpec,
@@ -21,6 +25,8 @@ from scattersim import (
     run,
     scenario_digest,
     step,
+    to_global,
+    to_local,
     write_trace,
 )
 import scattersim.engine as engine_module
@@ -28,7 +34,7 @@ from scattersim.engine import StepRecord, Trace
 from scattersim.errors import DigestMismatchError, ScenarioValidationError, TraceFormatError
 from scattersim.protocols import Protocol
 
-from conftest import make_scenario
+from conftest import ScriptedSource, make_scenario
 
 
 class FixedTarget(Protocol):
@@ -59,6 +65,11 @@ def test_travel_capped_exactly_at_sigma():
     )
     assert new[0] == Point(2.0, 0.0)
     assert outcome.moved_count == 1
+    # A configuration of plain tuples is capped the same way.
+    new, _ = step(
+        ((0.0, 0.0),), {0}, robots, FixedTarget(Point(5, 0)), Capabilities(), np.random.default_rng(0)
+    )
+    assert new == (Point(2.0, 0.0),)
 
 
 def test_capped_point_lies_on_segment():
@@ -417,3 +428,112 @@ def test_closure_holds_along_scatter_runs(rng):
                 assert all_distinct(config)
             elif all_distinct(config):
                 seen_distinct = True
+
+
+def _reference_view(config, observer, caps):
+    """``build_view`` as a loop through ``to_local`` for every frame."""
+    frame = IDENTITY_FRAME if caps.localization_knowledge else observer.frame
+    tally = {}
+    for p in config:
+        tally[p] = tally.get(p, 0) + 1
+    pairs = sorted((to_local(frame, p), c) for p, c in tally.items())
+    return (
+        tuple(p for p, _ in pairs),
+        tuple(c for _, c in pairs) if caps.multiplicity_detection else None,
+        to_local(frame, config[observer.index]),
+    )
+
+
+def _bits(p):
+    """A point's type and the exact bits of its coordinates."""
+    return type(p), tuple(float(v).hex() for v in p)
+
+
+class ScatterSpy(Protocol):
+    """Scatter, recording each view it is handed and each target it
+    returns; on request it returns a plain tuple, which the engine must
+    still record as a Point."""
+
+    def __init__(self, as_tuple):
+        self.rule = ProtocolSpec("scatter").build()
+        self.as_tuple = as_tuple
+        self.views = []
+        self.outputs = []
+
+    def decide(self, view, caps, sigma, rng):
+        self.views.append(view)
+        out = self.rule.decide(view, caps, sigma, rng)
+        out = tuple(out) if self.as_tuple else out
+        self.outputs.append(out)
+        return out
+
+
+# Quarter-grid coordinates keep every cell well conditioned; -0.0 equals
+# 0.0 but must keep its sign wherever a position is copied.
+_coord = st.integers(-8, 8).map(lambda k: k / 4) | st.just(-0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=4, unique=True),
+    picks=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()), min_size=2, max_size=6),
+    plain_tuples=st.booleans(),
+    localization=st.booleans(),
+    multiplicity=st.booleans(),
+    random_frames=st.booleans(),
+    tuple_targets=st.booleans(),
+    data=st.data(),
+)
+def test_identity_frames_copy_positions_bit_for_bit(
+    pool, picks, plain_tuples, localization, multiplicity, random_frames, tuple_targets, data
+):
+    def flip_zero(v, flip):
+        return -v if flip and v == 0.0 else v
+
+    # Stacked robots: several picks of one pool point, some with a zero's
+    # sign flipped, so equal positions can differ in their bits.
+    config = tuple(
+        (flip_zero(pool[k % len(pool)][0], fx), flip_zero(pool[k % len(pool)][1], fy))
+        for k, fx, fy in picks
+    )
+    if not plain_tuples:
+        config = tuple(Point(x, y) for x, y in config)
+    n = len(config)
+    caps = Capabilities(multiplicity_detection=multiplicity, localization_knowledge=localization)
+    # Random frames only under localization knowledge, where the shared
+    # identity frame replaces them.
+    frame_rng = np.random.default_rng(n)
+    robots = tuple(
+        Robot(i, 1.0, random_frame(frame_rng) if random_frames and localization else IDENTITY_FRAME)
+        for i in range(n)
+    )
+
+    def assert_reference_view(view, robot):
+        points, counts, self_pos = _reference_view(config, robot, caps)
+        assert [_bits(p) for p in view.points] == [_bits(p) for p in points]
+        assert view.counts == counts
+        assert _bits(view.self_pos) == _bits(self_pos)
+
+    for robot in robots:
+        assert_reference_view(build_view(config, robot, caps), robot)
+
+    active = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    coins = data.draw(st.lists(st.integers(0, 1), min_size=len(active), max_size=len(active)))
+    spy = ScatterSpy(tuple_targets)
+    new, _, _, recorded_coins, targets = engine_module._advance(
+        config, frozenset(active), robots, spy, caps, ScriptedSource(coins)
+    )
+    assert recorded_coins == tuple((c,) for c in coins)
+    for i, view in zip(active, spy.views):  # shared views included
+        assert_reference_view(view, robots[i])
+    assert [_bits(t) for t in targets] == [_bits(to_global(IDENTITY_FRAME, o)) for o in spy.outputs]
+    for i, coin, target in zip(active, coins, targets):
+        if coin == 1:  # a stay keeps the exact position, sign of zero included
+            assert _bits(new[i]) == _bits(Point(*config[i]))
+        else:  # a move within sigma lands on its target
+            assert _bits(new[i]) == _bits(target)
+    for i in set(range(n)) - set(active):
+        assert new[i] is config[i]
+    # step takes the scripted source as it is and gives the same positions.
+    stepped, _ = step(config, frozenset(active), robots, ScatterSpy(tuple_targets), caps, ScriptedSource(coins))
+    assert [_bits(p) for p in stepped] == [_bits(p) for p in new]

@@ -117,7 +117,7 @@ def test_scatter_requires_self_in_view():
             src = ScriptedSource([coin])
             with pytest.raises(ContractViolationError, match="^observer position missing from view$"):
                 scatter_step(bad, 1.0, src)
-            assert src._coins == [coin]  # checked before the coin is drawn
+            assert src.total_draws == 0  # checked before the coin is drawn
         for view in present:
             target = scatter_step(view, 1.0, ScriptedSource([coin]))
             assert (target == view.self_pos) == (coin == 1)

@@ -91,3 +91,40 @@ def test_spec_validation():
     with pytest.raises(ScenarioValidationError):
         SchedulerSpec("full_synchronous", 0.5).validate()
     SchedulerSpec("bernoulli", 1.0).validate()
+
+
+@pytest.mark.parametrize(
+    "kind, param",
+    [
+        ("bounded_delay", float("inf")),
+        ("bounded_delay", float("nan")),
+        ("bounded_delay", "4"),
+        ("bounded_delay", "x"),
+        ("bounded_delay", True),
+        ("bounded_delay", 2.5),
+        ("bernoulli", "0.5"),
+        ("bernoulli", "x"),
+        ("bernoulli", True),
+        ("bernoulli", float("nan")),
+        ("bernoulli", float("inf")),
+    ],
+)
+def test_bad_param_is_a_validation_error_on_its_field(kind, param):
+    with pytest.raises(ScenarioValidationError) as info:
+        SchedulerSpec(kind, param).validate()
+    assert info.value.field == "scheduler.param"
+
+
+@pytest.mark.parametrize(
+    "kind, param, built",
+    [
+        ("bounded_delay", 4, 4),
+        ("bounded_delay", 4.0, 4),
+        ("bounded_delay", np.int64(3), 3),
+        ("bernoulli", 1, 1.0),
+        ("bernoulli", np.float64(0.25), 0.25),
+    ],
+)
+def test_numeric_params_of_any_type_build(kind, param, built):
+    sched = SchedulerSpec(kind, param).build()
+    assert (sched.window if kind == "bounded_delay" else sched.p) == built
