@@ -317,6 +317,7 @@ class GatherSummary:
     trials: int
     gathered: int
     steps: tuple[int, ...]  # instants to gathering, per gathered trial
+    instants: int  # instants run over all trials, gathered or not
 
     @property
     def fraction(self) -> float:
@@ -335,11 +336,13 @@ def gather_stats(scenarios) -> GatherSummary:
     """Run each gathering scenario and summarize time to success."""
     trials = 0
     gathered = 0
+    instants = 0
     steps: list[int] = []
     for scenario in scenarios:
         trials += 1
         trace = run(scenario)
+        instants += len(trace.records)
         if trace.status == "stopped:gathered":
             gathered += 1
             steps.append(len(trace.records))
-    return GatherSummary(trials=trials, gathered=gathered, steps=tuple(steps))
+    return GatherSummary(trials=trials, gathered=gathered, steps=tuple(steps), instants=instants)
