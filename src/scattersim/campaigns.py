@@ -16,16 +16,24 @@ same scenarios from the same seeds:
   rate 1/2, so in 2 instants on average; self-stabilizing gathering from
   corrupted starts always succeeds
 - ``fairness``: bounded-delay traces pass the audit, a starved robot fails it
+
+A rate is gated at ``target +- RATE_TOL``, never wider. A campaign with
+such a gate refuses, before it runs anything, a count below
+``min_trials(target, RATE_TOL)``: too few trials for a correct program
+to pass with 99.9% probability.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 
 import numpy as np
 
 from . import analysis
 from .engine import Scenario, run
+from .errors import ScatterSimError
 from .geometry import Point, compute_voronoi, distance
 from .protocols import DETERMINISTIC_RULES, ProtocolSpec
 from .scheduler import SchedulerSpec, audit_fairness
@@ -38,6 +46,7 @@ SCHEDULERS = (
     SchedulerSpec("bounded_delay", 4),
 )
 RATE_TOL = 0.01
+_Z = NormalDist().inv_cdf(0.9995)  # two-sided 99.9%
 _GATHER_CAPS = Capabilities(multiplicity_detection=True, localization_knowledge=True)
 
 
@@ -78,6 +87,22 @@ def _scenario(positions, scheduler, protocol, seed, max_steps, stop_rule, caps=C
         max_steps=max_steps,
         stop_rule=stop_rule,
     )
+
+
+def min_trials(target: float, tol: float) -> int:
+    """Fewest trials at which the 99.9% normal half-width of a rate near
+    ``target`` is at most ``tol``. Every trial adds at least one instant to
+    the rate's denominator, so counting trials errs on the safe side."""
+    return math.ceil(_Z**2 * target * (1.0 - target) / tol**2)
+
+
+def _require_trials(name: str, trials: int, *targets: float) -> None:
+    need = max(min_trials(target, RATE_TOL) for target in targets)
+    if trials < need:
+        raise ScatterSimError(
+            f"{name} needs at least {need} trials for its +-{RATE_TOL} rate gate "
+            f"at 99.9%, got {trials}"
+        )
 
 
 def _rate_check(name: str, rate: float, target: float, note: str = "") -> Check:
@@ -133,6 +158,7 @@ def separation_rate(
     scheduler: SchedulerSpec, target: float, trials: int, seed: int, wilson: bool = True
 ) -> list[Check]:
     """Separations per active instant of a stacked pair against ``target``."""
+    _require_trials(f"separation {scheduler.kind}", trials, target)
     est = analysis.estimate_pair_separation(scheduler, trials, seed)
     note = f" wilson=[{est.wilson_low:.4f},{est.wilson_high:.4f}]" if wilson else ""
     return [_rate_check(f"separation {scheduler.kind}", est.rate, target, note)]
@@ -141,6 +167,7 @@ def separation_rate(
 def separation(trials: int, seed: int) -> list[Check]:
     """The two headline rates at ``trials`` pairs each, then the 3/4
     persistence bound under every scheduler at max(trials/10, 1000) pairs."""
+    _require_trials("separation", trials, 0.75, 0.5)
     checks = separation_rate(SCHEDULERS[0], 0.75, trials, seed)
     checks += separation_rate(SCHEDULERS[2], 0.5, trials, seed + 1, wilson=False)
     for spec in SCHEDULERS:
@@ -170,23 +197,21 @@ def impossibility(seed: int) -> list[Check]:
 
 def pair_gather(trials: int, seed: int) -> list[Check]:
     """Two robots one unit apart under full synchrony: each instant they
-    meet with probability 1/2, so in 2 instants on average."""
+    meet with probability 1/2, so in 2 instants on average. Every trial
+    must meet within its 10,000 instants."""
+    _require_trials("pair gather", trials, 0.5)
+    protocol = ProtocolSpec("pair_gather")
+    seeds = (int(np.random.default_rng([seed, t]).integers(0, 2**63)) for t in range(trials))
     summary = analysis.gather_stats(
-        _scenario(
-            [(0.0, 0.0), (1.0, 0.0)],
-            SCHEDULERS[0],
-            ProtocolSpec("pair_gather"),
-            int(np.random.default_rng([seed, trial]).integers(0, 2**63)),
-            10_000,
-            "gathered",
-        )
-        for trial in range(trials)
+        _scenario([(0.0, 0.0), (1.0, 0.0)], SCHEDULERS[0], protocol, s, 10_000, "gathered")
+        for s in seeds
     )
-    mean = summary.mean_steps
-    mean_detail = f"mean={mean:.3f} target=2.0 tol=0.1"
+    met, mean = summary.gathered, summary.mean_steps
+    steps = f"mean={mean:.3f} target=2.0 tol=0.1"
     return [
-        _rate_check("pair gather meet rate", summary.gathered / summary.instants, 0.5),
-        Check("pair gather mean steps", abs(mean - 2.0) <= 0.1, mean_detail),
+        _rate_check("pair gather meet rate", met / summary.instants, 0.5),
+        Check("pair gather mean steps", abs(mean - 2.0) <= 0.1, steps),
+        Check("pair gather met", met == trials, f"gathered {met}/{trials}"),
     ]
 
 
@@ -242,15 +267,10 @@ def fairness(traces: int, seed: int) -> list[Check]:
         ),
     )
     verdict = audit_fairness(starved, window=50)
+    rejected = verdict.status == "fail" and verdict.culprit == 2
+    audited = f"{traces} seeded traces x 1000 instants audited with window {window}"
+    gap = f"status={verdict.status} culprit={verdict.culprit} worst_gap={verdict.worst_gap}"
     return [
-        Check(
-            "fairness bounded_delay",
-            failures == 0,
-            f"{traces} seeded traces x 1000 instants audited with window {window}",
-        ),
-        Check(
-            "fairness rejects starvation",
-            verdict.status == "fail" and verdict.culprit == 2,
-            f"status={verdict.status} culprit={verdict.culprit} worst_gap={verdict.worst_gap}",
-        ),
+        Check("fairness bounded_delay", failures == 0, audited),
+        Check("fairness rejects starvation", rejected, gap),
     ]

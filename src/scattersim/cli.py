@@ -99,7 +99,7 @@ SUITES = {
     "separation": (campaigns.separation, 100_000),
     "decay": (campaigns.decay, 100_000),
     "impossibility": (campaigns.impossibility, None),
-    "gather": (campaigns.gather, 10_000),
+    "gather": (campaigns.gather, 30_000),
     "fairness": (campaigns.fairness, 100),
     "voronoi-oracle": (campaigns.voronoi_oracle, 10_000),
 }

@@ -68,7 +68,7 @@ def test_criterion_5_impossibility():
 
 
 def test_criterion_6_pair_gathering():
-    report("C6", campaigns.pair_gather(10_000, 606))
+    report("C6", campaigns.pair_gather(30_000, 606))
 
 
 def test_criterion_7_stabilized_gathering():

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from scattersim import load_trace
-from scattersim.cli import main
+from scattersim import SchedulerSpec, analysis, load_trace
+from scattersim.campaigns import min_trials, separation_rate
+from scattersim.cli import SUITES, main
+from scattersim.errors import ScatterSimError
 
 SCATTER_SCN = """\
 version = 1
@@ -222,10 +224,34 @@ def test_verify_impossibility(capsys):
 
 
 def test_verify_separation_small(capsys):
-    assert main(["verify", "separation", "--trials", "4000", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS separation full_synchronous" in out
-    assert "PASS persistence bound bounded_delay" in out
+    # 4000 pairs are too few for the +-0.01 gate on the 0.5 round-robin rate.
+    assert main(["verify", "separation", "--trials", "4000", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs at least 27069 trials" in captured.err
+
+
+@pytest.mark.parametrize("suite", ["separation", "gather"])
+def test_verify_refuses_one_trial_below_the_minimum_before_running(suite, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    monkeypatch.setattr(analysis, "estimate_pair_separation", no_run)
+    monkeypatch.setattr(analysis, "gather_stats", no_run)
+    assert main(["verify", suite, "--trials", "27068"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs at least 27069 trials" in captured.err
+
+
+def test_rate_gate_minimums_and_suite_defaults():
+    assert min_trials(0.75, 0.01) == 20302
+    assert min_trials(0.5, 0.01) == 27069
+    # separation gates 0.75 and 0.5, gather 0.5; the other suites gate no rate.
+    for suite in ("separation", "gather"):
+        assert SUITES[suite][1] >= min_trials(0.5, 0.01)
+    with pytest.raises(ScatterSimError, match="at least 20302 trials"):
+        separation_rate(SchedulerSpec("full_synchronous"), 0.75, 20301, seed=0)
 
 
 def test_verify_fairness(capsys):

@@ -2,8 +2,9 @@
 
 Each case re-runs a fixed scenario and compares the written trace with the
 file in ``tests/golden/`` byte for byte; each pinned suite re-runs
-``scattersim verify`` at a small trial count and compares its stdout and
-exit status. A change that alters these bytes on purpose regenerates the
+``scattersim verify`` at a small trial count and compares its stdout,
+stderr and exit status. ``separation`` and ``gather`` are pinned at counts
+their rate gates refuse, so their pins hold the refusal message. A change that alters these bytes on purpose regenerates the
 corpus with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
@@ -149,10 +150,12 @@ def write_case(name, path):
 
 
 def verify_output(suite):
+    """stdout then stderr of ``verify``, so a refusal pins its message."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(["verify", suite, *VERIFY[suite]])
-    return out.getvalue() + f"exit {status}\n"
+    return out.getvalue() + err.getvalue() + f"exit {status}\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
