@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -46,8 +45,6 @@ SCHEDULERS = (
     SchedulerSpec("bounded_delay", 4),
 )
 RATE_TOL = 0.01
-_Z = NormalDist().inv_cdf(0.9995)  # two-sided 99.9%
-_GATHER_CAPS = Capabilities(multiplicity_detection=True, localization_knowledge=True)
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,10 @@ def min_trials(target: float, tol: float) -> int:
     """Fewest trials at which the 99.9% normal half-width of a rate near
     ``target`` is at most ``tol``. Every trial adds at least one instant to
     the rate's denominator, so counting trials errs on the safe side."""
-    return math.ceil(_Z**2 * target * (1.0 - target) / tol**2)
+    from statistics import NormalDist  # imported here: it costs ~5 ms at start-up
+
+    z = NormalDist().inv_cdf(0.9995)  # two-sided 99.9%
+    return math.ceil(z**2 * target * (1.0 - target) / tol**2)
 
 
 def _require_trials(name: str, trials: int, *targets: float) -> None:
@@ -220,6 +220,7 @@ def stabilized_gather(runs: int, seed: int, sizes=(3, 4, 5)) -> list[Check]:
     one must gather."""
     rng = np.random.default_rng(seed)
     protocol = ProtocolSpec("stabilized_gather")
+    caps = Capabilities(multiplicity_detection=True, localization_knowledge=True)
     checks = []
     for n in sizes:
         s = analysis.gather_stats(
@@ -230,7 +231,7 @@ def stabilized_gather(runs: int, seed: int, sizes=(3, 4, 5)) -> list[Check]:
                 int(rng.integers(0, 2**63)),
                 10_000,
                 "gathered",
-                _GATHER_CAPS,
+                caps,
             )
             for i in range(runs)
         )

@@ -4,8 +4,9 @@ Each case re-runs a fixed scenario and compares the written trace with the
 file in ``tests/golden/`` byte for byte; each pinned suite re-runs
 ``scattersim verify`` at a small trial count and compares its stdout,
 stderr and exit status. ``separation`` and ``gather`` are pinned at counts
-their rate gates refuse, so their pins hold the refusal message. A change that alters these bytes on purpose regenerates the
-corpus with ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+their rate gates refuse, so their pins hold the refusal message. A change
+that alters these bytes on purpose regenerates the corpus with
+``PYTHONPATH=src python tests/test_golden.py`` and says why.
 """
 
 import contextlib
