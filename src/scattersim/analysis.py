@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import RecordingSource, Scenario, Trace, _advance, run
+from .engine import RecordingSource, Scenario, Trace, _advance, run, trial_sources
 from .errors import NotDeterministicError, ScenarioValidationError
 from .geometry import Point
 from .protocols import Protocol, ProtocolSpec
@@ -132,6 +132,12 @@ def _pair_campaign(
     ``bystanders`` adds distant extra robots so the scheduler can leave the
     tracked pair entirely inactive (impossible for n = 2, where activation
     sets are non-empty subsets of the pair itself).
+
+    Trial ``t`` draws from the stream ``np.random.default_rng([seed, t])``
+    starts, bit for bit. :func:`engine.trial_sources` sets each trial's
+    state on one reused generator and source, batch-seeded, because a
+    trial lasts only an instant or two and a fresh generator and
+    :class:`RecordingSource` per trial cost about as much as the trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -145,9 +151,7 @@ def _pair_campaign(
     tally = PairEventTally()
     stats = ConvergenceStats()
     survival = [0] * (max_a + 1)
-    for trial in range(trials):
-        g = np.random.default_rng([seed, trial])
-        src = RecordingSource(g)
+    for g, src in trial_sources(seed, trials):
         sched = scheduler.build()
         config = start
         a = 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .engine import Scenario, run
+from .engine import Scenario, run, trial_sources
 from .errors import ScatterSimError
 from .geometry import Point, compute_voronoi, distance
 from .protocols import DETERMINISTIC_RULES, ProtocolSpec
@@ -201,7 +201,7 @@ def pair_gather(trials: int, seed: int) -> list[Check]:
     must meet within its 10,000 instants."""
     _require_trials("pair gather", trials, 0.5)
     protocol = ProtocolSpec("pair_gather")
-    seeds = (int(np.random.default_rng([seed, t]).integers(0, 2**63)) for t in range(trials))
+    seeds = (int(g.integers(0, 2**63)) for g, _ in trial_sources(seed, trials))
     summary = analysis.gather_stats(
         _scenario([(0.0, 0.0), (1.0, 0.0)], SCHEDULERS[0], protocol, s, 10_000, "gathered")
         for s in seeds

@@ -22,6 +22,19 @@ bit generator directly: a coin is ``next_uint32 >> 31`` and a uniform is
 ``integers(0, 2)`` and ``uniform`` make. This rests on those two numpy
 algorithms staying as they are; ``tests/test_random_source.py`` checks
 the mapping against numpy itself and the golden traces pin its output.
+
+Campaigns of many short trials seed trial ``t`` as
+``np.random.default_rng([seed, t])`` would, without building it:
+:func:`trial_sources` runs numpy's ``SeedSequence`` mixing for a block of
+trials at once and sets each trial's PCG64 state on one reused generator
+and source. This rests on numpy's ``SeedSequence`` and PCG64 seeding
+staying as they are; ``tests/test_trial_sources.py`` checks every state
+against numpy itself.
+
+An error of the package raised while an active robot decides or moves
+is raised again by :func:`run` and :func:`step` as the same class, with
+the instant (in ``run``), the robot's ordinal and its global position
+added to its message, the original chained as its cause.
 """
 
 from __future__ import annotations
@@ -35,6 +48,7 @@ import numpy as np
 
 from .errors import (
     DigestMismatchError,
+    ScatterSimError,
     ScenarioValidationError,
     TraceFormatError,
 )
@@ -118,6 +132,116 @@ class RecordingSource:
         return tuple(self._coins)
 
 
+# numpy's SeedSequence mixing constants (numpy/random/bit_generator.pyx)
+# and PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+TRIAL_BLOCK = 256  # trials seeded per batch: 1,024 ran no faster and held 4x the memory
+MAX_TRIALS = 2**32  # a trial index must fit the one entropy word the kernel mixes
+
+
+def _seed_state_words(seed_words: list[int], trials: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence([seed, trial]).generate_state(4, np.uint64)`` for a
+    block of trials, as its eight little-endian uint32 words (one array of
+    the block per word). ``seed_words`` are the seed's uint32 words, low
+    first; every trial is one word."""
+    entropy = [np.full(len(trials), w, np.uint32) for w in seed_words] + [trials]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(trials), np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append(value ^ (value >> 16))
+    return words
+
+
+def trial_sources(seed: int, trials: int):
+    """Yield ``(generator, source)`` for trial 0, 1, ..., ``trials - 1``,
+    the generator in exactly the state ``np.random.default_rng([seed,
+    trial])`` starts in and ``source`` its :class:`RecordingSource` with no
+    draws counted.
+
+    The same two objects are yielded for every trial, so each pair is
+    valid until the next one is drawn; the source's ``ctypes`` pointers
+    are read once. Per block of :data:`TRIAL_BLOCK` trials, numpy's
+    ``SeedSequence`` mixing runs on uint32 arrays; PCG64's seeding,
+    ``inc = initseq << 1 | 1`` and ``state = ((inc + initstate) * M + inc)
+    mod 2**128``, runs on Python ints; the result is assigned to the bit
+    generator. This rests on numpy's ``SeedSequence`` and PCG64 seeding
+    staying as they are; ``tests/test_trial_sources.py`` checks every
+    state against numpy's own.
+
+    A negative seed is a ``ValueError`` and a non-integer one (a bool
+    too) a ``TypeError``, as in numpy; ``trials`` outside [0, 2**32) is a
+    ``ValueError``. Each is raised here, before any trial is drawn.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}")
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    if not 0 <= trials < MAX_TRIALS:
+        raise ValueError(f"trials must be from 0 to below 2**32 = {MAX_TRIALS}, got {trials}")
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    return _seeded_trials(seed_words, trials)
+
+
+def _seeded_trials(seed_words: list[int], trials: int):
+    g = np.random.Generator(np.random.PCG64(0))
+    bits = g.bit_generator
+    src = RecordingSource(g)
+    for start in range(0, trials, TRIAL_BLOCK):
+        block = np.arange(start, min(start + TRIAL_BLOCK, trials), dtype=np.uint32)
+        words = np.stack(_seed_state_words(seed_words, block), axis=1)
+        # generate_state's own uint64 view; per trial, initstate is the
+        # first two words and initseq the last two, high 64 bits first.
+        rows = words.astype("<u4", copy=False).view("<u8").tolist()
+        for state_hi, state_lo, seq_hi, seq_lo in rows:
+            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+            state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+            bits.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            src.total_draws = 0
+            src.begin_robot()
+            yield g, src
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Complete, serializable description of one experiment."""
@@ -148,9 +272,11 @@ class Scenario:
         for i, r in enumerate(self.robots):
             if r.index != i:
                 raise ScenarioValidationError("robots: ordinals must be 0..n-1 in order")
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
+        # A bool is an int, but a trace would store it as true/false and
+        # load it back as 1/0, so its replay would fail the digest check.
+        if not _is_int(self.max_steps) or self.max_steps < 1:
             raise ScenarioValidationError("max_steps: must be a positive integer", "max_steps")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ScenarioValidationError("seed: must be an unsigned 64-bit integer", "seed")
         if self.stop_rule not in STOP_RULES:
             raise ScenarioValidationError(
@@ -281,6 +407,19 @@ class Trace:
             yield rec.config
 
 
+def _located(exc: ScatterSimError, t: int | None, i: int, position) -> ScatterSimError:
+    """``exc`` again, same class and attributes, its message followed by
+    where it arose: the instant (when known), the robot and its global
+    position."""
+    where = f"robot {i} at ({float(position[0])!r}, {float(position[1])!r})"
+    if t is not None:
+        where = f"instant {t}, {where}"
+    located = type(exc).__new__(type(exc))  # no __init__: subclasses take other arguments
+    located.__dict__.update(exc.__dict__)
+    located.args = (f"{exc} ({where})",)
+    return located
+
+
 def _advance(
     config: Configuration,
     activation,
@@ -288,6 +427,7 @@ def _advance(
     protocol: Protocol,
     caps: Capabilities,
     src: RecordingSource,
+    t: int | None = None,
 ):
     active = tuple(sorted(activation))
     if not active:
@@ -298,34 +438,37 @@ def _advance(
     moved = 0
     shared = None  # the one view that every identity-frame robot observes
     for i in active:
-        robot = robots[i]
-        frame = IDENTITY_FRAME if caps.localization_knowledge else robot.frame
-        identity = frame.is_identity
-        if not identity:
-            view = build_view(config, robot, caps)
-        elif shared is None:
-            view = shared = build_view(config, robot, caps)
-        else:
-            view = shared.seen_from(as_point(config[robot.index]))
-        src.begin_robot()
-        local_target = protocol.decide(view, caps, robot.sigma, src)
-        coins_by[i] = src.coins()
-        # The identity frame's to_global would only copy the point.
-        target = as_point(local_target) if identity else to_global(frame, local_target)
-        targets_by[i] = target
-        cur = config[i]
-        if target == cur:  # a stay: the target is the new position as it is
-            new = target
-        else:
-            d = distance(cur, target)
-            if d <= robot.sigma:
+        try:
+            robot = robots[i]
+            frame = IDENTITY_FRAME if caps.localization_knowledge else robot.frame
+            identity = frame.is_identity
+            if not identity:
+                view = build_view(config, robot, caps)
+            elif shared is None:
+                view = shared = build_view(config, robot, caps)
+            else:
+                view = shared.seen_from(as_point(config[robot.index]))
+            src.begin_robot()
+            local_target = protocol.decide(view, caps, robot.sigma, src)
+            coins_by[i] = src.coins()
+            # The identity frame's to_global would only copy the point.
+            target = as_point(local_target) if identity else to_global(frame, local_target)
+            targets_by[i] = target
+            cur = config[i]
+            if target == cur:  # a stay: the target is the new position as it is
                 new = target
             else:
-                f = robot.sigma / d
-                new = Point(cur[0] + f * (target.x - cur[0]), cur[1] + f * (target.y - cur[1]))
-            if new != cur:
-                moved += 1
-        positions[i] = new
+                d = distance(cur, target)
+                if d <= robot.sigma:
+                    new = target
+                else:
+                    f = robot.sigma / d
+                    new = Point(cur[0] + f * (target.x - cur[0]), cur[1] + f * (target.y - cur[1]))
+                if new != cur:
+                    moved += 1
+            positions[i] = new
+        except ScatterSimError as exc:
+            raise _located(exc, t, i, config[i]) from exc
     outcome = StepOutcome(activated_count=len(active), moved_count=moved)
     coins = tuple(coins_by[i] for i in active)
     targets = tuple(targets_by[i] for i in active)
@@ -379,7 +522,7 @@ def run(scenario: Scenario) -> Trace:
         for t in range(scenario.max_steps):
             activation = sched.next_activation(n, g)
             config, _, active, coins, targets = _advance(
-                config, activation, scenario.robots, protocol, scenario.caps, src
+                config, activation, scenario.robots, protocol, scenario.caps, src, t
             )
             records.append(StepRecord(t, active, coins, targets, config))
             if _stop_hit(scenario.stop_rule, config, sorted_pattern):

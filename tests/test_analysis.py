@@ -14,8 +14,9 @@ from scattersim import (
     verify_decay_bound,
     wilson_interval,
 )
-from scattersim.analysis import PAIR_PERSISTENCE_BOUND, _pair_campaign
-from scattersim.engine import StepRecord, Trace
+from scattersim import analysis, campaigns
+from scattersim.analysis import PAIR_PERSISTENCE_BOUND, GatherSummary, _pair_campaign
+from scattersim.engine import RecordingSource, StepRecord, Trace
 from scattersim.errors import NotDeterministicError
 from scattersim.protocols import DETERMINISTIC_RULES, ProtocolSpec
 
@@ -130,6 +131,51 @@ def test_bystanders_allow_fully_inactive_pair_instants():
     campaign = _pair_campaign(SchedulerSpec("bernoulli", 0.4), trials=500, seed=4, bystanders=2)
     assert campaign.tally.both_inactive > 0
     assert sum(campaign.stats.inactive_pair_instants) == campaign.tally.both_inactive
+
+
+def _fresh_sources(seed, trials):
+    """The reference seeding: a new generator and source per trial."""
+    for trial in range(trials):
+        g = np.random.default_rng([seed, trial])
+        yield g, RecordingSource(g)
+
+
+def _campaign_pair(monkeypatch, scheduler, trials, seed, bystanders):
+    batched = _pair_campaign(scheduler, trials, seed, bystanders=bystanders)
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "trial_sources", _fresh_sources)
+        fresh = _pair_campaign(scheduler, trials, seed, bystanders=bystanders)
+    return batched, fresh
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+@pytest.mark.parametrize("bystanders", [0, 2])
+@pytest.mark.parametrize("scheduler", campaigns.SCHEDULERS, ids=lambda s: s.kind)
+def test_pair_campaign_equals_fresh_generator_per_trial(monkeypatch, scheduler, bystanders, seed):
+    batched, fresh = _campaign_pair(monkeypatch, scheduler, 300, seed, bystanders)
+    assert batched.tally == fresh.tally
+    assert batched.stats == fresh.stats
+    assert batched.survival_counts == fresh.survival_counts
+
+
+def test_pair_campaign_equal_across_a_seeding_block(monkeypatch):
+    batched, fresh = _campaign_pair(monkeypatch, SchedulerSpec("round_robin"), 1030, 11, 0)
+    assert batched == fresh
+
+
+def test_pair_gather_seeds_each_scenario_as_before(monkeypatch):
+    trials, seed = 1030, 606
+    seen = []
+
+    def record_seeds(scenarios):
+        seen.extend(s.seed for s in scenarios)
+        n = len(seen)
+        return GatherSummary(trials=n, gathered=n, steps=(2,) * n, instants=2 * n)
+
+    monkeypatch.setattr(campaigns, "_require_trials", lambda *args: None)
+    monkeypatch.setattr(analysis, "gather_stats", record_seeds)
+    campaigns.pair_gather(trials, seed)
+    assert seen == [int(np.random.default_rng([seed, t]).integers(0, 2**63)) for t in range(trials)]
 
 
 def test_both_move_rate_bounded_by_quarter():

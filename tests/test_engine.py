@@ -31,8 +31,15 @@ from scattersim import (
 )
 import scattersim.engine as engine_module
 from scattersim.engine import StepRecord, Trace
-from scattersim.errors import DigestMismatchError, ScenarioValidationError, TraceFormatError
-from scattersim.protocols import Protocol
+from scattersim.errors import (
+    ContractViolationError,
+    ScatterSimError,
+    DigestMismatchError,
+    ScenarioParseError,
+    ScenarioValidationError,
+    TraceFormatError,
+)
+from scattersim.protocols import DETERMINISTIC_RULES, Protocol
 
 from conftest import ScriptedSource, make_scenario
 
@@ -376,6 +383,62 @@ def test_scenario_validation_messages():
         make_scenario([(0, 0)] * 3, protocol="pair_gather").validate()
     with pytest.raises(ScenarioValidationError, match="max_steps"):
         make_scenario([(0, 0)], max_steps=0).validate()
+
+
+@pytest.mark.parametrize("field, value", [("seed", True), ("seed", False), ("max_steps", True)])
+def test_bool_seed_and_max_steps_are_refused_on_their_field(field, value):
+    # A trace stores a bool as true/false and loads it back as 1/0, so a
+    # run that took one would fail its own replay's digest check.
+    scenario = replace(make_scenario([(0, 0), (1, 1)]), **{field: value})
+    with pytest.raises(ScenarioValidationError) as err:
+        run(scenario)
+    assert err.value.field == field
+
+
+ROBOT_ERRORS = (
+    ScenarioValidationError("boom", "protocol.rule"),
+    ContractViolationError("boom"),
+    ScenarioParseError(4, "boom"),  # its constructor takes (line, message)
+)
+
+
+@pytest.mark.parametrize("error", ROBOT_ERRORS, ids=lambda e: type(e).__name__)
+def test_run_names_instant_robot_and_position_of_an_error(monkeypatch, error):
+    n, instant, robot = 3, 4, 1
+    decisions = iter(range(10**6))
+    unit_x = DETERMINISTIC_RULES["unit_x"]
+
+    def rule(view):
+        # Full synchrony: every robot decides each instant, in ordinal order.
+        if next(decisions) == instant * n + robot:
+            raise error
+        return unit_x(view)
+
+    monkeypatch.setitem(DETERMINISTIC_RULES, "unit_x", rule)
+    scenario = make_scenario(
+        [(0.5, 0.0), (0.0, 0.25), (2.0, 2.0)], protocol="deterministic_rule", rule="unit_x"
+    )
+    with pytest.raises(ScatterSimError) as err:
+        run(scenario)
+    assert type(err.value) is type(error)
+    assert vars(err.value) == vars(error)
+    assert err.value.__cause__ is error
+    assert str(err.value) == f"{error} (instant 4, robot 1 at (4.0, 0.25))"
+
+
+def test_step_names_robot_and_position_of_an_error():
+    class StuckAt(Protocol):
+        def decide(self, view, caps, sigma, rng):
+            if view.self_pos == Point(3.0, -1.5):
+                raise ContractViolationError("no target")
+            return view.self_pos
+
+    robots = (Robot(0, 1.0), Robot(1, 1.0))
+    config = as_configuration([(0.0, 0.0), (3.0, -1.5)])
+    with pytest.raises(ContractViolationError) as err:
+        step(config, {0, 1}, robots, StuckAt(), Capabilities(), np.random.default_rng(0))
+    assert str(err.value) == "no target (robot 1 at (3.0, -1.5))"
+    assert str(err.value.__cause__) == "no target"
 
 
 @pytest.mark.parametrize(
