@@ -32,6 +32,13 @@ DISTINCT = [(0, 0), (2, 0.5), (-1, 1.5), (0.5, -2)]
 STACKED_40 = [(0.37 * i - 3.5, 2.9 * ((7 * i) % 11) / 11 - 1.4) for i in range(20)] * 2
 COLLAPSED_40 = [(0, 0)] * 40
 GRID_40 = [(x, y) for x in range(6) for y in range(6)] + [(0, 0), (5, 0), (0, 5), (5, 5)]
+# 60 points spread over a 40 x 40 square (an additive-recurrence point
+# set), so a mover has only a few rivals within a few sigma, and none
+# within a few tenths; the first 30 as stacked pairs.
+SPREAD_60 = [
+    (40.0 * (i * 0.6180339887498949 % 1.0) - 20.0, 40.0 * (i * 0.7548776662466927 % 1.0) - 20.0)
+    for i in range(1, 61)
+]
 LINE4 = tuple(Point(float(i), 0.0) for i in range(4))
 SCHEDULERS = {
     "full_synchronous": ("full_synchronous", None),
@@ -131,6 +138,12 @@ CASES = {
     "scatter-full_synchronous-collapsed-n40": dict(positions=COLLAPSED_40, max_steps=12, seed=124),
     "scatter-bounded_delay-grid-n40": dict(
         positions=GRID_40, scheduler=SCHEDULERS["bounded_delay"], max_steps=12, seed=125
+    ),
+    "scatter-bernoulli-sparse-n60": dict(
+        positions=SPREAD_60[:30] * 2, scheduler=SCHEDULERS["bernoulli"], max_steps=30, seed=126
+    ),
+    "scatter-bernoulli-sparse-short-sigma-n60": dict(
+        positions=SPREAD_60, scheduler=SCHEDULERS["bernoulli"], sigma=0.1, max_steps=30, seed=127
     ),
 }
 
