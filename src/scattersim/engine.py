@@ -451,8 +451,14 @@ def _advance(
             src.begin_robot()
             local_target = protocol.decide(view, caps, robot.sigma, src)
             coins_by[i] = src.coins()
-            # The identity frame's to_global would only copy the point.
-            target = as_point(local_target) if identity else to_global(frame, local_target)
+            if identity:  # the identity frame's to_global would only copy the point
+                target = as_point(local_target)
+            elif local_target == view.self_pos:  # a stay stays, bit for bit
+                target = config[i]
+            else:  # a jump onto an observed robot lands exactly on it
+                target = view.global_point(local_target)
+                if target is None:
+                    target = to_global(frame, local_target)
             targets_by[i] = target
             cur = config[i]
             if target == cur:  # a stay: the target is the new position as it is

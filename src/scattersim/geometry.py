@@ -15,6 +15,66 @@ an exact minimum) and draw the same random numbers, so they give
 bit-identical cells, samples and generator states; ``VoronoiCell`` holds
 numpy arrays either way, and :meth:`VoronoiCell.contains`, which no hot
 loop calls, reads them as columns.
+
+Reach. A scatter draw (:func:`own_cell` of a site ``s`` among a view's
+points, then :func:`sample_in_cell` from ``s`` itself with travel bound
+sigma) depends only on the rivals within the reach r of ``s``, which
+:func:`reach` returns, rounding included, as at least::
+
+    4*sigma*(1 + 2**-41) + 2**-23 * M + 2**-500
+
+where M, at most ``2**500``, is the largest coordinate magnitude of the
+view. :func:`reach_index` finds those rivals through a uniform grid, and
+the cell built from them gives the draw of the cell of all points, bit
+for bit: the same point, the same generator state, the same exception
+and message. Rows do not interact (membership is an ``all``, the exit
+distance an exact minimum) and the two paths of the kernel agree bit for
+bit, so it suffices that the row of every rival o at distance D >= r
+from s passes each check the kernel makes, for every direction drawn.
+
+Proof. Take u = 2**-53 (unit roundoff) and eta = 2**-1074 (the least
+subnormal); a rounded product or quotient is ``x(1 + d) + e`` with
+|d| <= u and |e| <= eta/2, and a rounded sum or difference has e = 0.
+Every coordinate is at most M, so D <= 2*sqrt(2)*M, each square and
+product of the kernel is below 8*M**2 and nothing overflows. The exact
+slack of o's row at s, ``0.5*(|o|**2 - |s|**2) - (o - s).s``, is D**2/2.
+Summing the rounding errors of the offset (two squares, two sums, a
+difference, a halving), of ``n.s`` (a rounded normal, two products, a
+sum) and of the final difference bounds the error of the computed slack
+by E = 64*u*M**2 + 8*eta, with room to spare (first order gives
+22*u*M**2 + 3*eta). Since sqrt(2E) <= 2**-23*M + 2**-535, D >= r gives
+D >= 4*s1 + sqrt(2E) + 2**-500 with s1 = sigma*(1 + 16u), hence
+D*(D - 4*s1) >= 2E + D*2**-500 and D*(D - 2*s1) >= 2E + 8*s1**2 +
+D*2**-500. The D*2**-500 term covers every eta-sized term below.
+
+(a) The start check holds (``slack > 0``; ``n.s < offset`` on the float
+    path): the computed slack is at least D**2/2 - E > 0.
+(b) The exit distance matters only through hi = min(sigma, d/2), and
+    that is unchanged. Along a drawn direction (ux, uy), the cosine and
+    sine of the drawn angle, the computed speed ``n.u`` is at most
+    D*(1 + 8u) + 2*eta (Cauchy-Schwarz, |n| <= D(1 + u), |u| <= 1 + 2u).
+    Where it is positive, slack/speed >= (D**2/2 - E)/(D(1 + 8u) + 2*eta)
+    >= 2*sigma by the first inequality above, and rounding is monotone,
+    so the row's exit t >= 2*sigma and 0.5*t >= sigma. So with or without
+    these rows hi is the same float: sigma whenever a dropped row would
+    give the minimum. The step, the target and every draw are the same.
+(c) The final check ``n.p < offset`` holds. It is reached only when
+    ``distance(s, p) <= sigma``, so |p - s| <= sigma(1 + 8u) + eta and
+    every coordinate of p is at most M + 2*sigma. The exact margin
+    ``offset - n.p`` is at least D**2/2 - D*|p - s|, which the second
+    inequality above puts at E + 4*sigma**2 or more; the rounding error
+    of offset and ``n.p`` is at most 31*u*M**2 + 12*u*sigma**2 + 3*eta,
+    less than that.
+
+The grid keeps every point within r. Its side is g >= r*(1 + 2**-41) +
+62*u*W, W the view's width, and a point's cell is ``floor((x - x0)/g)``
+per axis, x0 the view's least coordinate. For |ox - sx| <= r the two
+rounded quotients differ by at most (r + 2uW)/g + 2u(1 + u)W/g + eta <= 1,
+so their floors differ by at most one: o lies in the 3 x 3 block of cells
+around s. Cells number below 2**47 per axis, so their indices are exact.
+Of a block's points, one is dropped only when its rounded squared
+distance exceeds (r*(1 + 2**-30))**2, which, with D**2 rounded by at most
+5u relative and 2*eta absolute and r**2 >= 2**-1000, means D > r.
 """
 
 from __future__ import annotations
@@ -39,6 +99,15 @@ _STEP_FLOOR = 1e-3
 # to about 40 sites and dearer beyond (CHANGES.md has the figures). A caller
 # holding both the points and their array passes the points up to this size.
 SMALL_CELL = 32
+
+# A view whose bounding box spans at most this many reaches keeps all its
+# points: its grid would be a few cells wide, so each mover would still
+# scan most points, and on Python floats.
+COMPACT_REACHES = 4.0
+
+# Views with a larger coordinate keep all their points: the reach bound
+# needs squares well inside the double range.
+_MAX_MAGNITUDE = 2.0**500
 
 
 class Point(NamedTuple):
@@ -262,3 +331,74 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
         ):
             return p
     raise GeometryError("could not sample a valid in-cell target after 64 attempts")
+
+
+def reach(sigma: float, magnitude: float) -> float:
+    """The reach of a scatter draw with travel bound ``sigma`` in a view
+    whose coordinates are at most ``magnitude`` in absolute value: a rival
+    farther than this cannot change the draw (module docstring)."""
+    return (4.0 * sigma + 2.0**-23 * magnitude + 2.0**-500) * (1.0 + 2.0**-40)
+
+
+class ReachIndex:
+    """A uniform grid over a view's distinct points for one travel bound:
+    :meth:`near` lists the points within the reach of a position by
+    scanning the 3 x 3 cells around it. Built by :func:`reach_index`."""
+
+    __slots__ = ("_cells", "_x0", "_y0", "_side", "_limit")
+
+    def __init__(self, cells: dict, x0: float, y0: float, side: float, limit: float):
+        self._cells = cells
+        self._x0 = x0
+        self._y0 = y0
+        self._side = side
+        self._limit = limit
+
+    def near(self, position: Point) -> list[Point]:
+        """The points within reach of ``position``, itself included when
+        it is one of them; possibly a few more, never fewer."""
+        sx, sy = position
+        kx = math.floor((sx - self._x0) / self._side)
+        ky = math.floor((sy - self._y0) / self._side)
+        cells = self._cells
+        limit = self._limit
+        out = []
+        for i in (kx - 1, kx, kx + 1):
+            for j in (ky - 1, ky, ky + 1):
+                cell = cells.get((i, j))
+                if cell is not None:
+                    for p in cell:
+                        dx = p[0] - sx
+                        dy = p[1] - sy
+                        if dx * dx + dy * dy <= limit:
+                            out.append(p)
+        return out
+
+
+def reach_index(points: Sequence[Point], occupied: np.ndarray, sigma: float) -> ReachIndex | None:
+    """A :class:`ReachIndex` over the distinct ``points`` (``occupied`` is
+    the same points as an (m, 2) array) for travel bound ``sigma``, built
+    in O(m). None when the view should keep all its points: its bounding
+    box spans at most ``COMPACT_REACHES`` reaches, or a coordinate exceeds
+    ``2**500`` in magnitude."""
+    lo = occupied.min(axis=0)
+    x0, y0 = lo.tolist()
+    x1, y1 = occupied.max(axis=0).tolist()
+    magnitude = max(-x0, x1, -y0, y1)
+    if not magnitude <= _MAX_MAGNITUDE:
+        return None
+    r = reach(sigma, magnitude)
+    width = max(x1 - x0, y1 - y0)
+    if not width > COMPACT_REACHES * r:
+        return None
+    side = r * (1.0 + 2.0**-40) + width * 2.0**-47
+    keys = np.floor((occupied - lo) / side).tolist()
+    cells: dict = {}
+    for p, (kx, ky) in zip(points, keys):
+        cell = cells.get((kx, ky))
+        if cell is None:
+            cells[kx, ky] = [p]
+        else:
+            cell.append(p)
+    limit = r * (1.0 + 2.0**-30)
+    return ReachIndex(cells, x0, y0, side, limit * limit)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Callable
 
-from . import geometry
 from .errors import CapabilityError, ContractViolationError, ScenarioValidationError
 from .geometry import Point, distance, own_cell, sample_in_cell
 from .world import Capabilities, View
@@ -36,9 +35,10 @@ def scatter_step(view: View, sigma: float, rng) -> Point:
         raise ContractViolationError("observer position missing from view")
     if _flip(rng) == 1:
         return view.self_pos
-    # Only the numpy path of the cell kernel reads the shared array.
-    occupied = points if len(points) <= geometry.SMALL_CELL else view.occupied
-    cell = own_cell(view.self_pos, occupied)
+    # Only rivals within reach can change the draw (the geometry module
+    # docstring proves it); the view hands the kernel those, or all its
+    # points, in the form the kernel's size selection takes.
+    cell = own_cell(view.self_pos, view.within_reach(sigma))
     return sample_in_cell(cell, view.self_pos, sigma, rng)
 
 

@@ -8,12 +8,13 @@ ordering information derived from them, so the population stays anonymous.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractViolationError, ScenarioValidationError
-from .geometry import Point
+from .geometry import SMALL_CELL, Point, reach_index
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,26 @@ def to_local(frame: LocalFrame, p: Point) -> Point:
     coordinates through bit-exactly."""
     if frame.is_identity:
         return Point(p[0], p[1])
-    dx = p[0] - frame.origin[0]
-    dy = p[1] - frame.origin[1]
+    return _local_map(frame)(p)
+
+
+def _local_map(frame: LocalFrame):
+    """:func:`to_local` under a non-identity ``frame`` as a function of the
+    point, the frame's cosine and sine taken once."""
+    ox, oy = frame.origin
     c = math.cos(frame.rotation)
     s = math.sin(frame.rotation)
-    lx = (dx * c + dy * s) / frame.unit
-    ly = (-dx * s + dy * c) / frame.unit
-    if frame.reflect:
-        ly = -ly
-    return Point(lx, ly)
+    unit = frame.unit
+    reflect = frame.reflect
+
+    def local(p) -> Point:
+        dx = p[0] - ox
+        dy = p[1] - oy
+        lx = (dx * c + dy * s) / unit
+        ly = (-dx * s + dy * c) / unit
+        return Point(lx, -ly if reflect else ly)
+
+    return local
 
 
 def to_global(frame: LocalFrame, p: Point) -> Point:
@@ -130,6 +142,19 @@ def as_configuration(positions) -> Configuration:
     return pts
 
 
+class _Shared:
+    """What the views of one observation share: the point array and one
+    reach index per travel bound, each built on first use, and under a
+    private frame the global position of each point."""
+
+    __slots__ = ("array", "reach", "globals")
+
+    def __init__(self, globals: tuple[Point, ...] | None = None):
+        self.array = None
+        self.reach = {}
+        self.globals = globals
+
+
 @dataclass(frozen=True)
 class View:
     """What one robot observes: the distinct occupied positions in its own
@@ -139,31 +164,81 @@ class View:
     of robot ordinals). ``counts`` is aligned with ``points`` and present
     only under multiplicity detection; without it co-located robots
     collapse to a single indistinguishable point. ``occupied`` gives the
-    same points as an array for the cell kernel.
+    same points as an array for the cell kernel, and :meth:`within_reach`
+    the points that can bound a scatter draw.
+
+    The views that :meth:`seen_from` derives share the array and the reach
+    indexes with the view they come from, so an instant builds each at
+    most once, and they are dropped with the views. A view built under a
+    private frame keeps, out of the rule's sight, the global position of
+    each of its points, so that the engine can land a robot exactly on
+    one.
     """
 
     points: tuple[Point, ...]
     counts: tuple[int, ...] | None
     self_pos: Point
-    # Holds the (m, 2) array of ``points`` once built; shared by the views
-    # that :meth:`seen_from` derives, so an instant builds it at most once.
-    _array_slot: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # Created on first use, so that a view nobody queries costs nothing.
+    _shared: _Shared | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _state(self) -> _Shared:
+        shared = self._shared
+        if shared is None:
+            shared = _Shared()
+            object.__setattr__(self, "_shared", shared)
+        return shared
 
     @property
     def occupied(self) -> np.ndarray:
         """``points`` as a read-only (m, 2) float array, built on first use."""
-        if not self._array_slot:
+        shared = self._state()
+        if shared.array is None:
             arr = np.array(self.points, dtype=float).reshape(-1, 2)
             arr.setflags(write=False)
-            self._array_slot.append(arr)
-        return self._array_slot[0]
+            shared.array = arr
+        return shared.array
+
+    def within_reach(self, sigma: float):
+        """The points the robot's scatter cell needs at travel bound
+        ``sigma``, as the cell kernel takes them: ``points`` for a view of
+        at most ``SMALL_CELL`` points; else its own point and every point
+        within :func:`geometry.reach` of it, found through a grid that the
+        shared views build once per ``sigma`` (see :func:`reach_index`).
+        The first query for a ``sigma`` gets all points (``occupied``) and
+        builds nothing, so a view that only one robot queries, such as a
+        private frame's, never pays for a grid. The second builds the grid,
+        or learns that :func:`reach_index` keeps the view whole, and later
+        queries reuse that. The draw is the same, bit for bit, either way."""
+        points = self.points
+        if len(points) <= SMALL_CELL:
+            return points
+        indexes = self._state().reach
+        if sigma not in indexes:
+            indexes[sigma] = False
+            return self.occupied
+        index = indexes[sigma]
+        if index is False:
+            index = indexes[sigma] = reach_index(points, self.occupied, sigma)
+        return self.occupied if index is None else index.near(self.self_pos)
 
     def seen_from(self, self_pos: Point) -> View:
         """The same observation by a robot at ``self_pos``: same ``points``
-        and ``counts`` tuples, same lazily built array."""
+        and ``counts`` tuples, same lazily built array and reach indexes."""
         view = View(self.points, self.counts, self_pos)
-        object.__setattr__(view, "_array_slot", self._array_slot)
+        object.__setattr__(view, "_shared", self._state())
         return view
+
+    def global_point(self, local: Point) -> Point | None:
+        """The global position of the view point equal to ``local``, or
+        None when ``local`` is no view point or the view has no map."""
+        shared = self._shared
+        if shared is None or shared.globals is None:
+            return None
+        points = self.points
+        j = bisect_left(points, local)
+        if j < len(points) and points[j] == local:
+            return shared.globals[j]
+        return None
 
 
 def build_view(config: Configuration, observer: Robot, caps: Capabilities) -> View:
@@ -180,15 +255,21 @@ def build_view(config: Configuration, observer: Robot, caps: Capabilities) -> Vi
     tally: dict[Point, int] = {}
     for p in config:
         tally[p] = tally.get(p, 0) + 1
-    if frame.is_identity:
-        pairs = sorted(tally.items())
+    identity = frame.is_identity
+    if identity:
+        entries = sorted(tally.items())
+        points = tuple(as_point(p) for p, _ in entries)
         self_pos = as_point(config[observer.index])
-    else:
-        pairs = sorted((to_local(frame, p), c) for p, c in tally.items())
-        self_pos = to_local(frame, config[observer.index])
-    points = tuple(as_point(p) for p, _ in pairs)
-    counts = tuple(c for _, c in pairs) if caps.multiplicity_detection else None
-    return View(points=points, counts=counts, self_pos=self_pos)
+    else:  # (local point, count, global point), in the order of the local points
+        local = _local_map(frame)
+        entries = sorted((local(p), c, p) for p, c in tally.items())
+        points = tuple(e[0] for e in entries)
+        self_pos = local(config[observer.index])
+    counts = tuple(e[1] for e in entries) if caps.multiplicity_detection else None
+    view = View(points=points, counts=counts, self_pos=self_pos)
+    if not identity:
+        object.__setattr__(view, "_shared", _Shared(tuple(e[2] for e in entries)))
+    return view
 
 
 def multiplicity_points(config: Configuration) -> tuple[tuple[Point, int], ...]:

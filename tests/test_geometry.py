@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from scattersim import (
@@ -14,6 +14,7 @@ from scattersim import (
     sample_in_cell,
 )
 from scattersim.errors import ContractViolationError, DistinctSitesError, GeometryError
+from scattersim.world import View
 
 from conftest import bisector_clearance, nearest_site
 
@@ -337,3 +338,95 @@ def test_bounded_flag():
     assert not diagram.cells[1].bounded  # hull site
     strip = compute_voronoi([Point(0, 0), Point(-2, 0), Point(2, 0)])
     assert not strip.cells[0].bounded  # strip between two parallel bisectors
+
+
+def _scatter_draw(position, occupied, sigma, seed):
+    """The scatter draw of ``scatter_step`` from ``position`` among
+    ``occupied``: the target's bits (or the error) and the generator state
+    after it."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = np.array(sample_in_cell(own_cell(position, occupied), position, sigma, rng)).tobytes()
+    except (ContractViolationError, GeometryError) as exc:
+        out = (type(exc), str(exc))
+    return out, rng.bit_generator.state
+
+
+def _reach_limited(points, position, sigma):
+    """The points a reach-limited cell is built from, or None when the view
+    keeps all its points."""
+    index = geometry.reach_index(points, np.array(points, dtype=float), sigma)
+    return None if index is None else index.near(position)
+
+
+def _spread_points(raw, scale, ulp_pairs):
+    """Distinct points ``raw * scale``, with a point 1 ulp away (in x, in y
+    or in both) added next to the first ``ulp_pairs``."""
+    pts = [Point(x * scale, y * scale) for x, y in raw]
+    for k, (x, y) in enumerate(pts[:ulp_pairs]):
+        nx = math.nextafter(x, math.inf) if k % 3 != 1 else x
+        ny = math.nextafter(y, -math.inf) if k % 3 != 0 else y
+        pts.append(Point(nx, ny))
+    return sorted(dict.fromkeys(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raw=st.lists(
+        st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+        | st.tuples(st.integers(-40, 40).map(float), st.integers(-40, 40).map(float)),
+        min_size=geometry.SMALL_CELL + 1,
+        max_size=150,
+    ),
+    scale_exp=st.integers(-150, 12),
+    ulp_pairs=st.integers(0, 6),
+    sigma_exps=st.lists(st.floats(-9, 1), min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reach_limited_draw_is_bit_identical(raw, scale_exp, ulp_pairs, sigma_exps, picks, seed):
+    """A scatter cell built from the points within reach gives the draw of
+    the cell of all points, bit for bit: the same target, the same
+    generator state, the same error. Several travel bounds query one
+    shared view, each through its own index."""
+    scale = 10.0**scale_exp
+    points = _spread_points(raw, scale, ulp_pairs)
+    if len(points) <= geometry.SMALL_CELL:
+        return
+    view = View(tuple(points), None, points[0])
+    sigmas = [scale * 10.0**e for e in sigma_exps]
+    for pick in picks:
+        position = points[pick % len(points)]
+        mine = view.seen_from(position)
+        for sigma in sigmas:
+            everything = _scatter_draw(position, view.occupied, sigma, seed)
+            near = _reach_limited(points, position, sigma)
+            event("reach-limited" if near is not None else "all points")
+            if near is not None:
+                assert position in near and len(set(near)) == len(near)
+                assert _scatter_draw(position, near, sigma, seed) == everything
+            mine.within_reach(sigma)  # the first query of a sigma builds no index
+            assert _scatter_draw(position, mine.within_reach(sigma), sigma, seed) == everything
+    assert set(view._shared.reach) == set(sigmas)
+
+
+@pytest.mark.parametrize(
+    "cell, far",
+    [
+        # ROADMAP item 5: these cells fail their start check.
+        ([(1e12, 0.0), (1e12 + 1.0, 0.0)], lambda k: (1e12 + 1e7 * (k % 6), 1e9 + 1e7 * (k // 6))),
+        ([(0.0, 0.0), (1e-200, 0.0)], lambda k: (100.0 + 10.0 * (k % 6), 100.0 + 10.0 * (k // 6))),
+        ([(1e8, 1e8), (1e8 + 1e-7, 1e8)], lambda k: (1e8 + 1e3 * (k % 6), 1e8 + 1e3 + 1e3 * (k // 6))),
+    ],
+)
+def test_failing_cells_still_fail_among_far_points(cell, far):
+    """Padded with far points past SMALL_CELL sites, a cell whose start
+    check fails fails the same way on the reach-limited route, which keeps
+    the near rival and drops the far points."""
+    position = Point(*cell[0])
+    points = sorted({Point(*p) for p in cell} | {Point(*far(k)) for k in range(36)})
+    near = _reach_limited(points, position, 1.0)
+    assert near is not None and sorted(near) == sorted(Point(*p) for p in cell)
+    for occupied in (np.array(points), near):
+        with pytest.raises(ContractViolationError, match="strictly inside"):
+            sample_in_cell(own_cell(position, occupied), position, 1.0, np.random.default_rng(0))

@@ -193,6 +193,26 @@ def test_golden_corpus_covers_both_cell_paths():
     assert min(widest) <= geometry.SMALL_CELL < max(widest)
 
 
+@pytest.mark.parametrize(
+    "name, most_rows", [("scatter-bernoulli-sparse-n60", 16), ("scatter-bernoulli-sparse-short-sigma-n60", 0)]
+)
+def test_sparse_golden_traces_reach_the_grid(name, most_rows, monkeypatch, tmp_path):
+    """The sparse traces build most cells from a reach index, so their
+    bytes pin the reach-limited route; at sigma 0.1 every such cell keeps
+    no row at all."""
+    rows = []
+    near = geometry.ReachIndex.near
+
+    def counting_near(self, position):
+        got = near(self, position)
+        rows.append(len(got) - 1)
+        return got
+
+    monkeypatch.setattr(geometry.ReachIndex, "near", counting_near)
+    write_case(name, tmp_path / "sparse.trace")
+    assert len(rows) > 300 and max(rows) <= most_rows
+
+
 @pytest.mark.parametrize("suite", sorted(VERIFY))
 def test_golden_verify_output(suite):
     expected = (GOLDEN / f"verify-{suite}.txt").read_text(encoding="utf-8")

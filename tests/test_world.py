@@ -20,6 +20,7 @@ from scattersim import (
     to_global,
     to_local,
 )
+from scattersim import geometry, world
 from scattersim.errors import ScenarioValidationError
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -165,3 +166,58 @@ def test_robot_requires_positive_sigma():
         Robot(0, 0.0)
     with pytest.raises(ScenarioValidationError):
         Robot(0, -1.0)
+
+
+def _spread_view(n, span, self_pos_index=0):
+    """A view of ``n`` distinct points on a jittered grid ``span`` wide."""
+    side = math.ceil(math.sqrt(n))
+    pts = sorted(
+        Point(span * (i % side) / side + 0.01 * (i % 7), span * (i // side) / side + 0.013 * (i % 5))
+        for i in range(n)
+    )
+    return build_view(as_configuration(pts), Robot(self_pos_index, 1.0), Capabilities())
+
+
+def test_small_views_hand_their_points_to_the_kernel():
+    view = _spread_view(geometry.SMALL_CELL, 100.0)
+    assert view.within_reach(1.0) is view.points
+
+
+def test_reach_index_built_once_per_sigma_and_shared(monkeypatch):
+    builds = []
+
+    def counting_reach_index(points, occupied, sigma):
+        builds.append(sigma)
+        return geometry.reach_index(points, occupied, sigma)
+
+    monkeypatch.setattr(world, "reach_index", counting_reach_index)
+    view = _spread_view(100, 100.0)
+    # The first query for a sigma takes all points and builds nothing.
+    assert view.within_reach(1.0) is view.occupied
+    assert builds == []
+    near = {}
+    for k, p in enumerate(view.points[::7]):
+        mine = view.seen_from(p)
+        got = mine.within_reach(1.0)
+        assert p in got and len(got) < len(view.points)
+        near[p] = got
+        assert (mine.within_reach(0.5) is view.occupied) == (k == 0)
+    assert builds == [1.0, 0.5]
+    for p, got in near.items():  # the points within reach, by brute force
+        r = geometry.reach(1.0, 100.1)
+        assert sorted(got) == sorted(q for q in view.points if distance(p, q) <= r)
+    # A new view (a new instant) builds its own index.
+    fresh = _spread_view(100, 100.0)
+    fresh.within_reach(1.0)
+    fresh.seen_from(fresh.points[3]).within_reach(1.0)
+    assert builds == [1.0, 0.5, 1.0]
+
+
+def test_compact_views_keep_all_their_points():
+    # 100 points 12 wide: a reach of about 4 spans a quarter of it or more.
+    view = _spread_view(100, 12.0)
+    for p in view.points[:3]:
+        assert view.seen_from(p).within_reach(1.0) is view.occupied
+    assert view._shared.reach == {1.0: None}
+    assert view.seen_from(view.points[0]).within_reach(0.1) is view.occupied
+    assert view.seen_from(view.points[0]).within_reach(0.1) is not view.occupied
