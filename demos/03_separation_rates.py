@@ -27,7 +27,7 @@ for spec in (
 print("\nfull activation: separation 3/4 exactly (coin enumeration);")
 print("singleton activation: the lone mover separates iff its coin is 0, so 1/2.")
 
-report = verify_decay_bound(SchedulerSpec("full_synchronous"), trials=TRIALS, seed=9, max_a=10)
+report = verify_decay_bound(SchedulerSpec("full_synchronous"), trials=TRIALS, seed=9)
 print("\nco-location survival vs. the (3/4)^a envelope (full activation):")
 print(f"{'a':>3}{'observed':>12}{'envelope':>12}")
 for a, (s, b) in enumerate(zip(report.survival, report.bounds)):

@@ -68,7 +68,6 @@ from .analysis import (
     DecayReport,
     GatherSummary,
     ImpossibilityVerdict,
-    PairEventTally,
     SeparationEstimate,
     check_closure,
     estimate_pair_separation,

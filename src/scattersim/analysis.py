@@ -5,16 +5,20 @@ on traces, separation-rate and survival-decay estimates for a tracked
 co-located pair, the coin-free co-location demonstration, and gathering
 campaign summaries. Probability-one claims are reported as "no observed
 failure within budget", never as proofs.
+
+A pair campaign keeps one number per trial, the instants it ran until the
+pair separated; the separation rate and the survival curve both follow
+from those counts (see :func:`_pair_campaign`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import RecordingSource, Scenario, Trace, _advance, run, trial_sources
+from .engine import RecordingSource, Trace, _advance, run, trial_sources
 from .errors import NotDeterministicError, ScenarioValidationError
 from .geometry import Point
 from .protocols import Protocol, ProtocolSpec
@@ -25,6 +29,11 @@ from .world import Capabilities, Robot, all_distinct, multiplicity_points
 # at most 3/4: 1/2 covers the lone-active-robot-stays case and 1/4 the
 # both-active cases, and these are mutually exclusive.
 PAIR_PERSISTENCE_BOUND = 0.75
+# A stacked pair separates with probability at least 1/4 per instant, so a
+# pair still together after this many instants means a broken rule.
+PAIR_INSTANT_BUDGET = 10_000
+# verify_decay_bound compares survival with (3/4)^a for a = 0..DECAY_MAX_A.
+DECAY_MAX_A = 15
 
 
 @dataclass(frozen=True)
@@ -50,88 +59,23 @@ def check_closure(trace: Trace) -> ClosureVerdict:
 
 
 @dataclass
-class PairEventTally:
-    """Disjoint per-instant outcomes for a tracked co-located pair.
-
-    Counted only while the pair shares a position; each instant lands in
-    exactly one bucket. ``both_active_move_together`` requires bit-equal
-    landing points and is expected to stay at zero under continuous
-    sampling.
-    """
-
-    both_inactive: int = 0
-    one_active_stay: int = 0
-    one_active_move: int = 0
-    both_active_none_move: int = 0
-    both_active_one_move: int = 0
-    both_active_move_apart: int = 0
-    both_active_move_together: int = 0
-
-    @property
-    def instants(self) -> int:
-        return (
-            self.both_inactive
-            + self.one_active_stay
-            + self.one_active_move
-            + self.both_active_none_move
-            + self.both_active_one_move
-            + self.both_active_move_apart
-            + self.both_active_move_together
-        )
-
-    @property
-    def active_instants(self) -> int:
-        return self.instants - self.both_inactive
-
-    @property
-    def separations(self) -> int:
-        return self.one_active_move + self.both_active_one_move + self.both_active_move_apart
-
-    @property
-    def both_move_rate(self) -> float:
-        if self.instants == 0:
-            return 0.0
-        return (self.both_active_move_apart + self.both_active_move_together) / self.instants
-
-
-@dataclass
 class ConvergenceStats:
-    """Per-trial counters for a tracked pair, from co-location to the first
-    all-distinct instant: total instants k, instants with at least one of
-    the pair active (a), and instants with both inactive (na); a + na = k."""
+    """Per-trial instants of a stacked pair, from co-location up to and
+    including the instant it separated."""
 
-    steps_to_all_distinct: list[int] = field(default_factory=list)
-    active_pair_instants: list[int] = field(default_factory=list)
-    inactive_pair_instants: list[int] = field(default_factory=list)
-
-    @property
-    def trials(self) -> int:
-        return len(self.steps_to_all_distinct)
+    steps_to_all_distinct: list[int]
 
 
-@dataclass(frozen=True)
-class PairCampaign:
-    tally: PairEventTally
-    stats: ConvergenceStats
-    # survival_counts[a] = number of trials still co-located after a active instants
-    survival_counts: tuple[int, ...]
-    trials: int
-
-
-def _pair_campaign(
-    scheduler: SchedulerSpec,
-    trials: int,
-    seed: int,
-    bystanders: int = 0,
-    max_a: int = 15,
-    max_instants: int = 10_000,
-) -> PairCampaign:
+def _pair_campaign(scheduler: SchedulerSpec, trials: int, seed: int) -> list[int]:
     """Run `trials` independent two-robot scatter experiments from a shared
-    position and classify every instant until the pair separates.
+    position; return the instants each ran until the pair separated.
 
-    ``bystanders`` adds distant extra robots so the scheduler can leave the
-    tracked pair entirely inactive (impossible for n = 2, where activation
-    sets are non-empty subsets of the pair itself).
+    These counts hold everything the separation and decay estimates need.
+    With two robots every activation set is a non-empty subset of the pair,
+    so every instant has at least one of the pair active. A trial stops at
+    the one instant that separates the pair, so it adds one separation and
+    k active instants, and the pair is still together after a active
+    instants exactly when k > a.
 
     Trial ``t`` draws from the stream ``np.random.default_rng([seed, t])``
     starts, bit for bit. :func:`engine.trial_sources` sets each trial's
@@ -141,61 +85,23 @@ def _pair_campaign(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = 2 + bystanders
-    robots = tuple(Robot(i, 1.0) for i in range(n))
-    start = (Point(0.0, 0.0), Point(0.0, 0.0)) + tuple(
-        Point(50.0 + 10.0 * i, 50.0) for i in range(bystanders)
-    )
+    robots = (Robot(0, 1.0), Robot(1, 1.0))
+    start = (Point(0.0, 0.0), Point(0.0, 0.0))
     caps = Capabilities()
     protocol = ProtocolSpec("scatter").build()
-    tally = PairEventTally()
-    stats = ConvergenceStats()
-    survival = [0] * (max_a + 1)
+    steps: list[int] = []
     for g, src in trial_sources(seed, trials):
         sched = scheduler.build()
         config = start
-        a = 0
-        na = 0
-        k = 0
-        while k < max_instants:
-            activation = sched.next_activation(n, g)
-            before0, before1 = config[0], config[1]
-            config, _, active, _, _ = _advance(config, activation, robots, protocol, caps, src)
-            k += 1
-            pair_active = (0 in activation) + (1 in activation)
-            moved0 = config[0] != before0
-            moved1 = config[1] != before1
-            moved = moved0 + moved1
-            separated = config[0] != config[1]
-            if pair_active == 0:
-                tally.both_inactive += 1
-                na += 1
-            else:
-                a += 1
-                if pair_active == 1:
-                    if moved == 0:
-                        tally.one_active_stay += 1
-                    else:
-                        tally.one_active_move += 1
-                else:
-                    if moved == 0:
-                        tally.both_active_none_move += 1
-                    elif moved == 1:
-                        tally.both_active_one_move += 1
-                    elif separated:
-                        tally.both_active_move_apart += 1
-                    else:
-                        tally.both_active_move_together += 1
-            if separated:
+        for k in range(1, PAIR_INSTANT_BUDGET + 1):
+            activation = sched.next_activation(2, g)
+            config = _advance(config, activation, robots, protocol, caps, src)[0]
+            if config[0] != config[1]:
+                steps.append(k)
                 break
         else:
             raise RuntimeError("pair did not separate within the instant budget")
-        stats.steps_to_all_distinct.append(k)
-        stats.active_pair_instants.append(a)
-        stats.inactive_pair_instants.append(na)
-        for i in range(min(a - 1, max_a) + 1):
-            survival[i] += 1
-    return PairCampaign(tally=tally, stats=stats, survival_counts=tuple(survival), trials=trials)
+    return steps
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -216,7 +122,6 @@ class SeparationEstimate:
     wilson_high: float
     separations: int
     active_instants: int
-    tally: PairEventTally
     stats: ConvergenceStats
 
     @property
@@ -225,29 +130,21 @@ class SeparationEstimate:
 
 
 def estimate_pair_separation(
-    scheduler: SchedulerSpec,
-    trials: int,
-    seed: int = 0,
-    bystanders: int = 0,
-    max_instants: int = 10_000,
+    scheduler: SchedulerSpec, trials: int, seed: int = 0
 ) -> SeparationEstimate:
     """Empirical probability that a co-located scatter pair separates at an
-    instant, conditioned on at least one of the two being activated."""
-    campaign = _pair_campaign(
-        scheduler, trials, seed, bystanders=bystanders, max_instants=max_instants
-    )
-    tally = campaign.tally
-    total = tally.active_instants
-    hits = tally.separations
-    low, high = wilson_interval(hits, total)
+    instant, conditioned on at least one of the two being activated: one
+    separation per trial over all the instants the trials ran."""
+    steps = _pair_campaign(scheduler, trials, seed)
+    total = sum(steps)
+    low, high = wilson_interval(trials, total)
     return SeparationEstimate(
-        rate=hits / total if total else 0.0,
+        rate=trials / total,
         wilson_low=low,
         wilson_high=high,
-        separations=hits,
+        separations=trials,
         active_instants=total,
-        tally=tally,
-        stats=campaign.stats,
+        stats=ConvergenceStats(steps),
     )
 
 
@@ -262,16 +159,12 @@ class DecayReport:
     passed: bool
 
 
-def verify_decay_bound(
-    scheduler: SchedulerSpec,
-    trials: int,
-    seed: int = 0,
-    max_a: int = 15,
-    bystanders: int = 0,
-) -> DecayReport:
-    campaign = _pair_campaign(scheduler, trials, seed, bystanders=bystanders, max_a=max_a)
-    survival = tuple(c / trials for c in campaign.survival_counts)
-    bounds = tuple(PAIR_PERSISTENCE_BOUND**a for a in range(max_a + 1))
+def verify_decay_bound(scheduler: SchedulerSpec, trials: int, seed: int = 0) -> DecayReport:
+    """Share of trials still co-located after a active instants, for a in
+    0..DECAY_MAX_A, each within three standard errors of (3/4)^a."""
+    steps = _pair_campaign(scheduler, trials, seed)
+    survival = tuple(sum(k > a for k in steps) / trials for a in range(DECAY_MAX_A + 1))
+    bounds = tuple(PAIR_PERSISTENCE_BOUND**a for a in range(DECAY_MAX_A + 1))
     limits = tuple(
         b + 3.0 * math.sqrt(b * (1.0 - b) / trials) for b in bounds
     )

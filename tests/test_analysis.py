@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from scattersim import (
+    Capabilities,
     Point,
+    Robot,
     SchedulerSpec,
     check_closure,
     estimate_pair_separation,
     gather_stats,
     impossibility_demo,
     run,
+    step,
     verify_decay_bound,
     wilson_interval,
 )
 from scattersim import analysis, campaigns
 from scattersim.analysis import PAIR_PERSISTENCE_BOUND, GatherSummary, _pair_campaign
-from scattersim.engine import RecordingSource, StepRecord, Trace
+from scattersim.engine import TRIAL_BLOCK, RecordingSource, StepRecord, Trace
 from scattersim.errors import NotDeterministicError
 from scattersim.protocols import DETERMINISTIC_RULES, ProtocolSpec
 
@@ -83,9 +86,6 @@ def test_separation_rate_full_synchronous():
     est = estimate_pair_separation(FULL, trials=10_000, seed=0)
     assert abs(est.rate - 0.75) <= 0.02
     assert est.wilson_low <= 0.75 <= est.wilson_high
-    # All instants have both robots active under full activation.
-    assert est.tally.both_inactive == 0
-    assert est.tally.one_active_stay == 0
 
 
 def test_separation_rate_singleton_scheduler():
@@ -99,40 +99,6 @@ def test_persistence_bound_across_schedulers():
         assert est.persistence <= PAIR_PERSISTENCE_BOUND + 0.02, spec.kind
 
 
-def test_tally_partitions_instants_and_counters_agree():
-    campaign = _pair_campaign(SchedulerSpec("bernoulli", 0.5), trials=2000, seed=3)
-    tally = campaign.tally
-    buckets = [
-        tally.both_inactive,
-        tally.one_active_stay,
-        tally.one_active_move,
-        tally.both_active_none_move,
-        tally.both_active_one_move,
-        tally.both_active_move_apart,
-        tally.both_active_move_together,
-    ]
-    assert sum(buckets) == tally.instants
-    assert tally.active_instants + tally.both_inactive == tally.instants
-    # Continuous sampling never lands two movers on the same point.
-    assert tally.both_active_move_together == 0
-    # Per-trial instants split exactly into active and inactive ones.
-    stats = campaign.stats
-    assert stats.trials == 2000
-    for k, a, na in zip(
-        stats.steps_to_all_distinct,
-        stats.active_pair_instants,
-        stats.inactive_pair_instants,
-    ):
-        assert a + na == k
-    assert sum(stats.steps_to_all_distinct) == tally.instants
-
-
-def test_bystanders_allow_fully_inactive_pair_instants():
-    campaign = _pair_campaign(SchedulerSpec("bernoulli", 0.4), trials=500, seed=4, bystanders=2)
-    assert campaign.tally.both_inactive > 0
-    assert sum(campaign.stats.inactive_pair_instants) == campaign.tally.both_inactive
-
-
 def _fresh_sources(seed, trials):
     """The reference seeding: a new generator and source per trial."""
     for trial in range(trials):
@@ -140,26 +106,28 @@ def _fresh_sources(seed, trials):
         yield g, RecordingSource(g)
 
 
-def _campaign_pair(monkeypatch, scheduler, trials, seed, bystanders):
-    batched = _pair_campaign(scheduler, trials, seed, bystanders=bystanders)
+def _campaign_pair(monkeypatch, scheduler, trials, seed):
+    batched = _pair_campaign(scheduler, trials, seed)
     with monkeypatch.context() as m:
         m.setattr(analysis, "trial_sources", _fresh_sources)
-        fresh = _pair_campaign(scheduler, trials, seed, bystanders=bystanders)
+        fresh = _pair_campaign(scheduler, trials, seed)
     return batched, fresh
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
-@pytest.mark.parametrize("bystanders", [0, 2])
+@pytest.mark.parametrize("past_block", [0, 2])
 @pytest.mark.parametrize("scheduler", campaigns.SCHEDULERS, ids=lambda s: s.kind)
-def test_pair_campaign_equals_fresh_generator_per_trial(monkeypatch, scheduler, bystanders, seed):
-    batched, fresh = _campaign_pair(monkeypatch, scheduler, 300, seed, bystanders)
-    assert batched.tally == fresh.tally
-    assert batched.stats == fresh.stats
-    assert batched.survival_counts == fresh.survival_counts
+def test_pair_campaign_equals_fresh_generator_per_trial(monkeypatch, scheduler, past_block, seed):
+    # A campaign that ends on a seeding block's last trial, and one that
+    # runs two trials into the next block.
+    trials = TRIAL_BLOCK + past_block
+    batched, fresh = _campaign_pair(monkeypatch, scheduler, trials, seed)
+    assert len(batched) == trials
+    assert batched == fresh
 
 
 def test_pair_campaign_equal_across_a_seeding_block(monkeypatch):
-    batched, fresh = _campaign_pair(monkeypatch, SchedulerSpec("round_robin"), 1030, 11, 0)
+    batched, fresh = _campaign_pair(monkeypatch, SchedulerSpec("round_robin"), 1030, 11)
     assert batched == fresh
 
 
@@ -179,8 +147,16 @@ def test_pair_gather_seeds_each_scenario_as_before(monkeypatch):
 
 
 def test_both_move_rate_bounded_by_quarter():
-    est = estimate_pair_separation(FULL, trials=10_000, seed=5)
-    assert abs(est.tally.both_move_rate - 0.25) <= 0.02
+    # A stacked pair under full activation: both robots move when both
+    # coins say move, so in a quarter of the instants.
+    robots = (Robot(0, 1.0), Robot(1, 1.0))
+    start = (Point(0.0, 0.0), Point(0.0, 0.0))
+    protocol = ProtocolSpec("scatter").build()
+    both_moved = 0
+    for seed in range(10_000):
+        _, outcome = step(start, {0, 1}, robots, protocol, Capabilities(), np.random.default_rng(seed))
+        both_moved += outcome.moved_count == 2
+    assert abs(both_moved / 10_000 - 0.25) <= 0.02
 
 
 def test_decay_bound_full_synchronous():
