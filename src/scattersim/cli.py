@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import campaigns
 from .engine import load_trace, replay, run, write_trace, _f17
 from .errors import ScatterSimError
+from .scenario_text import load_scenario
 from .world import multiplicity_points
 
 OUT_DIR_ENV = "SCATTERSIM_OUT"
@@ -28,18 +30,9 @@ def _default_out(name: str) -> Path:
 
 
 def cmd_run(args) -> int:
-    from .scenario_text import load_scenario
-
     scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, seed=args.seed)
-    if args.max_steps is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, max_steps=args.max_steps)
-    scenario.validate()
+    overrides = {"seed": args.seed, "max_steps": args.max_steps}
+    scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
     trace = run(scenario)
     out = Path(args.out) if args.out else _default_out(Path(args.scenario).stem + ".trace")
     write_trace(trace, out)
@@ -168,10 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ScatterSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ScatterSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -611,8 +611,11 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"not UTF-8 text: {exc}") from exc
     if not lines:
         raise TraceFormatError("empty trace file")
     try:

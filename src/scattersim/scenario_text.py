@@ -228,5 +228,9 @@ def parse_scenario_text(text: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(None, f"not UTF-8 text: {exc}") from exc
+    return parse_scenario_text(text)

@@ -261,9 +261,30 @@ def test_verify_fairness(capsys):
     assert "PASS fairness rejects starvation" in out
 
 
-def test_missing_file_reports_error(capsys):
-    assert main(["run", "/nonexistent/file.scn"]) == 2
-    assert "error" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "{tmp}/missing.scn"],
+        ["run", "{tmp}"],
+        ["replay", "{tmp}"],
+        ["run", "{scn}", "--out", "{tmp}"],
+        ["export", "{trace}", "--format", "csv-summary", "--out", "{tmp}"],
+        ["run", "{bad}"],
+        ["replay", "{bad}"],
+    ],
+    ids=["missing", "run-dir", "replay-dir", "run-out-dir", "export-out-dir", "run-bytes", "replay-bytes"],
+)
+def test_missing_file_reports_error(tmp_path, scenario_file, capsys, argv):
+    trace = tmp_path / "demo.trace"
+    assert main(["run", str(scenario_file), "--out", str(trace)]) == 0
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff" + SCATTER_SCN.encode())
+    paths = {"tmp": tmp_path, "scn": scenario_file, "trace": trace, "bad": bad}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_replay_rejects_an_infinite_window_in_the_header(tmp_path, capsys):
