@@ -12,16 +12,11 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 SEEDS = (0, 1)
 
 
-def _load_bench_run():
-    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_DIR / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_fingerprints_match_the_record(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH_DIR))  # run.py imports its siblings by name
-    bench = _load_bench_run()
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_DIR / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
     monkeypatch.setattr(bench, "OUT_DIR", tmp_path)
     recorded = json.loads(bench.FINGERPRINTS.read_text(encoding="utf-8"))
     got = {(name, seed): bench.fingerprint_of(name, seed) for name in bench.WORKLOADS for seed in SEEDS}
