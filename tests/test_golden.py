@@ -1,7 +1,10 @@
-"""Golden corpus: committed reference traces and ``verify`` output.
+"""Golden corpus: committed reference traces, their CSV exports and
+``verify`` output.
 
 Each case re-runs a fixed scenario and compares the written trace with the
-file in ``tests/golden/`` byte for byte; each pinned suite re-runs
+file in ``tests/golden/`` byte for byte; each pinned export runs
+``scattersim export`` on a committed trace and compares the CSV file it
+writes; each pinned suite re-runs
 ``scattersim verify`` at a small trial count and compares its stdout,
 stderr and exit status. ``separation`` and ``gather`` are pinned at counts
 their rate gates refuse, so their pins hold the refusal message. A change
@@ -147,6 +150,11 @@ CASES = {
     ),
 }
 
+# Golden traces whose exports are pinned in every format: one with
+# stacked pairs that stay or scatter, one that gathers onto a point.
+EXPORTS = ("scatter-bernoulli-stacked", "stabilized_gather-grid")
+EXPORT_FORMATS = ("csv-positions", "csv-summary")
+
 VERIFY = {
     "closure": ["--trials", "20"],
     "separation": ["--trials", "2000"],
@@ -161,6 +169,11 @@ VERIFY = {
 def write_case(name, path):
     kwargs = {"max_steps": 60, **CASES[name]}
     write_trace(run(make_scenario(kwargs.pop("positions"), **kwargs)), path)
+
+
+def export_case(name, fmt, path):
+    status = main(["export", str(GOLDEN / f"{name}.trace"), "--format", fmt, "--out", str(path)])
+    assert status == 0
 
 
 def verify_output(suite):
@@ -213,6 +226,15 @@ def test_sparse_golden_traces_reach_the_grid(name, most_rows, monkeypatch, tmp_p
     assert len(rows) > 300 and max(rows) <= most_rows
 
 
+@pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+@pytest.mark.parametrize("name", EXPORTS)
+def test_golden_export_bytes(name, fmt, tmp_path):
+    golden = GOLDEN / f"{name}.{fmt}.csv"
+    fresh = tmp_path / golden.name
+    export_case(name, fmt, fresh)
+    assert fresh.read_bytes() == golden.read_bytes()
+
+
 @pytest.mark.parametrize("suite", sorted(VERIFY))
 def test_golden_verify_output(suite):
     expected = (GOLDEN / f"verify-{suite}.txt").read_text(encoding="utf-8")
@@ -223,6 +245,9 @@ def regenerate():
     GOLDEN.mkdir(exist_ok=True)
     for name in CASES:
         write_case(name, GOLDEN / f"{name}.trace")
+    for name in EXPORTS:
+        for fmt in EXPORT_FORMATS:
+            export_case(name, fmt, GOLDEN / f"{name}.{fmt}.csv")
     for suite in VERIFY:
         (GOLDEN / f"verify-{suite}.txt").write_text(verify_output(suite), encoding="utf-8")
 
