@@ -9,6 +9,7 @@ given its arguments; exit status 0 means all requested checks passed,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import replace
@@ -29,12 +30,23 @@ def _default_out(name: str) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, ".")) / name
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the error opening ``path`` for writing would raise when it is
+    a directory or its folder is missing, so that ``run`` fails before it
+    simulates, and leaves no file behind."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     overrides = {"seed": args.seed, "max_steps": args.max_steps}
     scenario = replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
-    trace = run(scenario)
     out = Path(args.out) if args.out else _default_out(Path(args.scenario).stem + ".trace")
+    _check_writable(out)
+    trace = run(scenario)
     write_trace(trace, out)
     final = trace.records[-1].config if trace.records else trace.initial
     print(
@@ -60,9 +72,17 @@ def cmd_export(args) -> int:
     if args.format == "csv-positions":
         lines.append(_CSV_POSITIONS_HEADER)
         lines.append("t,robot,x,y")
+        # Each robot's "x,y" text, rendered when it holds a new Point object;
+        # keyed by identity, since 0.0 == -0.0 (load_trace keeps a robot's
+        # object while its position repeats).
+        held = [None] * trace.n
+        texts = [""] * trace.n
         for rec in trace.records:
             for i, p in enumerate(rec.config):
-                lines.append(f"{rec.t + 1},{i},{_f17(p.x)},{_f17(p.y)}")
+                if p is not held[i]:
+                    held[i] = p
+                    texts[i] = f"{_f17(p.x)},{_f17(p.y)}"
+                lines.append(f"{rec.t + 1},{i},{texts[i]}")
     else:  # csv-summary
         lines.append(_CSV_SUMMARY_HEADER)
         lines.append("digest,seed,n,instants,status,final_multiplicities,activations,moves")

@@ -579,14 +579,34 @@ def replay(trace: Trace) -> ReplayVerdict:
     return ReplayVerdict(True, None, "identical")
 
 
-def _pairs(points) -> str:
-    return "[" + ",".join(f"[{_f17(p[0])},{_f17(p[1])}]" for p in points) + "]"
+def _pairs(points, before: dict, now: dict) -> str:
+    """``points`` as a JSON array of ``[x,y]`` pairs. A point object that
+    ``before`` or ``now`` holds (keyed by ``id``) reuses its text; every
+    point's text goes into ``now``."""
+    texts = []
+    for p in points:
+        key = id(p)
+        text = now.get(key) or before.get(key)
+        if text is None:
+            text = f"[{_f17(p[0])},{_f17(p[1])}]"
+        now[key] = text
+        texts.append(text)
+    return "[" + ",".join(texts) + "]"
 
 
 def write_trace(trace: Trace, path) -> None:
     """Line-delimited trace: a JSON header (format, version, digest, seed,
     n, embedded scenario), one JSON record per instant with floats rendered
-    to 17 significant digits, and a status trailer."""
+    to 17 significant digits, and a status trailer.
+
+    Each position or target is rendered the first time its ``Point``
+    object is met. A record that holds an object of the record before (a
+    robot that was inactive or stayed) or one met earlier in the same
+    record (co-located robots, a target a robot reached) reuses its text.
+    The texts are keyed by object identity, never by equality, since
+    ``0.0 == -0.0``; the trace keeps every object alive while it is
+    written. Only the last two records' texts are kept, and each line is
+    written as it is made."""
     with open(path, "w", encoding="utf-8") as fh:
         header = {
             "format": TRACE_FORMAT,
@@ -597,20 +617,58 @@ def write_trace(trace: Trace, path) -> None:
             "scenario": scenario_to_dict(trace.scenario),
         }
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        before: dict[int, str] = {}
         for rec in trace.records:
+            now: dict[int, str] = {}
+            positions = _pairs(rec.config, before, now)
+            targets = _pairs(rec.targets, before, now)
             coins = "[" + ",".join("[" + ",".join(map(str, c)) + "]" for c in rec.coins) + "]"
             line = (
                 f'{{"t":{rec.t},'
                 f'"active":[{",".join(map(str, rec.active))}],'
                 f'"coins":{coins},'
-                f'"targets":{_pairs(rec.targets)},'
-                f'"positions":{_pairs(rec.config)}}}'
+                f'"targets":{targets},'
+                f'"positions":{positions}}}'
             )
             fh.write(line + "\n")
+            before = now
         fh.write(json.dumps({"status": trace.status}) + "\n")
 
 
+def _json_int(text: str):
+    """A JSON integer token as ``json`` reads it, except ``-0``: that is
+    how ``_f17`` renders the float ``-0.0``, so it loads as ``-0.0``."""
+    return -0.0 if text == "-0" else int(text)
+
+
+_RECORD_DECODER = json.JSONDecoder(parse_int=_json_int)
+
+
+def _positions(pairs, before_pairs, before: Configuration) -> Configuration:
+    """The points of a record's ``positions`` row. A robot whose pair
+    equals its pair in the record before keeps that record's ``Point``,
+    unless a coordinate is zero: ``0`` and ``-0`` are equal, but their
+    signs differ. Equal non-zero values give the same double."""
+    points = []
+    for i, pair in enumerate(pairs):
+        x, y = pair
+        if x and y and i < len(before) and pair == before_pairs[i]:
+            points.append(before[i])
+        else:
+            points.append(Point(float(x), float(y)))
+    return tuple(points)
+
+
 def load_trace(path) -> Trace:
+    """Read a trace that :func:`write_trace` wrote, checking each record
+    (see README, Trace format); a malformed file raises
+    :class:`TraceFormatError`.
+
+    Every coordinate keeps its bits, the sign of a zero included: a
+    record's ``-0`` loads as ``-0.0``. A robot whose position pair repeats
+    its pair in the record before, with no zero coordinate, keeps that
+    record's ``Point`` object, as the records of :func:`run` do; every
+    other pair is parsed into a new ``Point``."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
@@ -636,16 +694,19 @@ def load_trace(path) -> Trace:
         raise TraceFormatError("truncated trace: missing status trailer")
     n = len(scenario.initial)
     records = []
+    pairs: list = []
+    config: Configuration = ()
     for k, ln in enumerate(lines[1:-1]):
         try:
-            obj = json.loads(ln)
+            obj = _RECORD_DECODER.decode(ln)
             rec = StepRecord(
                 t=int(obj["t"]),
                 active=tuple(int(i) for i in obj["active"]),
                 coins=tuple(tuple(int(c) for c in cs) for cs in obj["coins"]),
                 targets=tuple(Point(float(x), float(y)) for x, y in obj["targets"]),
-                config=tuple(Point(float(x), float(y)) for x, y in obj["positions"]),
+                config=_positions(obj["positions"], pairs, config),
             )
+            pairs, config = obj["positions"], rec.config
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise TraceFormatError(f"bad record line: {exc}") from exc
         if rec.t != k:

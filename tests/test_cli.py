@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scattersim import SchedulerSpec, analysis, load_trace
+from scattersim import SchedulerSpec, analysis, cli, engine, load_trace
 from scattersim.campaigns import min_trials, separation_rate
 from scattersim.cli import SUITES, main
 from scattersim.errors import ScatterSimError
@@ -285,6 +285,22 @@ def test_missing_file_reports_error(tmp_path, scenario_file, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-folder"])
+def test_run_checks_its_output_before_simulating(tmp_path, scenario_file, capsys, monkeypatch, where):
+    def no_simulation(scenario):
+        raise AssertionError("run simulated before checking --out")
+
+    monkeypatch.setattr(engine, "run", no_simulation)
+    monkeypatch.setattr(cli, "run", no_simulation)
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "demo.trace"
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_replay_rejects_an_infinite_window_in_the_header(tmp_path, capsys):
