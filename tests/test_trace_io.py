@@ -159,7 +159,7 @@ def traces(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(traces())
 def test_trace_io_matches_the_reference_renderers(trace):
     with tempfile.TemporaryDirectory() as d:
