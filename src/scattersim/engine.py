@@ -706,7 +706,7 @@ def load_trace(path) -> Trace:
                 targets=tuple(Point(float(x), float(y)) for x, y in obj["targets"]),
                 config=_positions(obj["positions"], pairs, config),
             )
-            pairs, config = obj["positions"], rec.config
+            pairs, config = list(obj["positions"]), rec.config  # indexable, whatever the row's type
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise TraceFormatError(f"bad record line: {exc}") from exc
         if rec.t != k:

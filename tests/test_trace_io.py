@@ -201,3 +201,19 @@ def test_load_takes_the_sign_of_a_zero_that_alone_changes(tmp_path):
     trace = Trace(scenario, scenario_digest(scenario), scenario.initial, records, "budget_exhausted")
     loaded = check_roundtrip(trace, tmp_path)
     assert [bits(rec.config) for rec in loaded.records] == [bits(c) for c in configs]
+
+
+def test_load_compares_repeated_rows_of_any_json_container(tmp_path):
+    """A positions row is read by iterating it, so a JSON object whose
+    keys are two-character numbers is a row of points; two such rows in a
+    row load as the first did."""
+    path = tmp_path / "t.trace"
+    write_trace(run(make_scenario([(1, 2), (3, 4)], max_steps=3)), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for k in (1, 2):
+        rec = json.loads(lines[k])
+        rec["positions"] = {"12": 0, "34": 0}
+        lines[k] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    loaded = load_trace(path)
+    assert [rec.config for rec in loaded.records[:2]] == [(Point(1.0, 2.0), Point(3.0, 4.0))] * 2
