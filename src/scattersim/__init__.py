@@ -51,14 +51,12 @@ from .protocols import (
 from .engine import (
     RecordingSource,
     ReplayVerdict,
-    Scenario,
     StepOutcome,
     StepRecord,
     Trace,
     load_trace,
     replay,
     run,
-    scenario_digest,
     step,
     write_trace,
 )
@@ -76,6 +74,14 @@ from .analysis import (
     verify_decay_bound,
     wilson_interval,
 )
-from .scenario_text import load_scenario, parse_scenario_text
+from .scenario_text import (
+    STOP_RULES,
+    Scenario,
+    load_scenario,
+    parse_scenario_text,
+    scenario_digest,
+    scenario_from_dict,
+    scenario_to_dict,
+)
 
 __version__ = "0.1.0"

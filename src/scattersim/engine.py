@@ -1,4 +1,4 @@
-"""Semi-synchronous execution loop.
+"""Semi-synchronous execution loop, traces, replay and trial seeding.
 
 Discrete instants: a scheduler activates a non-empty subset of robots, each
 active robot observes the pre-step configuration (so evaluation order
@@ -35,11 +35,13 @@ An error of the package raised while an active robot decides or moves
 is raised again by :func:`run` and :func:`step` as the same class, with
 the instant (in ``run``), the robot's ordinal and its global position
 added to its message, the original chained as its cause.
+
+:class:`Scenario` and its JSON form live in :mod:`.scenario_text`; this
+module re-exports their names.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -53,25 +55,21 @@ from .errors import (
     TraceFormatError,
 )
 from .geometry import Point, distance
-from .protocols import Protocol, ProtocolSpec
-from .scheduler import SchedulerSpec
+from .protocols import Protocol
+from .scenario_text import STOP_RULES, Scenario, scenario_digest, scenario_from_dict, scenario_to_dict
 from .world import (
     Capabilities,
     Configuration,
     IDENTITY_FRAME,
     Robot,
     all_distinct,
-    as_configuration,
     as_point,
     build_view,
-    multiplicity_points,
     to_global,
 )
 
 TRACE_FORMAT = "scattersim-trace"
 TRACE_VERSION = 1
-
-STOP_RULES = ("none", "no_multiplicity", "gathered", "pattern_reached")
 
 
 def _f17(x: float) -> str:
@@ -236,136 +234,6 @@ def _seeded_trials(seed_words: list[int], trials: int):
             src.total_draws = 0
             src.begin_robot()
             yield g, src
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Complete, serializable description of one experiment."""
-
-    robots: tuple[Robot, ...]
-    initial: Configuration
-    caps: Capabilities
-    scheduler: SchedulerSpec
-    protocol: ProtocolSpec
-    seed: int
-    max_steps: int
-    stop_rule: str = "none"
-
-    @property
-    def n(self) -> int:
-        return len(self.robots)
-
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ScenarioValidationError("robots: at least one robot is required")
-        if len(self.initial) != self.n:
-            raise ScenarioValidationError(
-                f"positions: {len(self.initial)} positions for {self.n} robots"
-            )
-        for p in self.initial:
-            if not (math.isfinite(p.x) and math.isfinite(p.y)):
-                raise ScenarioValidationError(f"positions: non-finite position {p}")
-        for i, r in enumerate(self.robots):
-            if r.index != i:
-                raise ScenarioValidationError("robots: ordinals must be 0..n-1 in order")
-        # A bool is an int, but a trace would store it as true/false and
-        # load it back as 1/0, so its replay would fail the digest check.
-        if not _is_int(self.max_steps) or self.max_steps < 1:
-            raise ScenarioValidationError("max_steps: must be a positive integer", "max_steps")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ScenarioValidationError("seed: must be an unsigned 64-bit integer", "seed")
-        if self.stop_rule not in STOP_RULES:
-            raise ScenarioValidationError(
-                f"stop_rule: unknown rule {self.stop_rule!r}", "stop_rule"
-            )
-        self.scheduler.validate()
-        self.protocol.validate(n=self.n, caps=self.caps)
-        if self.stop_rule == "no_multiplicity" and not self.caps.multiplicity_detection:
-            raise ScenarioValidationError(
-                "stop_rule: no_multiplicity requires multiplicity_detection", "stop_rule"
-            )
-        if self.stop_rule == "pattern_reached" and not self.protocol.pattern:
-            raise ScenarioValidationError(
-                "stop_rule: pattern_reached requires a pattern", "stop_rule"
-            )
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "robots": [
-            {
-                "sigma": r.sigma,
-                "frame": {
-                    "origin": [r.frame.origin.x, r.frame.origin.y],
-                    "rotation": r.frame.rotation,
-                    "reflect": r.frame.reflect,
-                    "unit": r.frame.unit,
-                },
-            }
-            for r in s.robots
-        ],
-        "initial": [[p.x, p.y] for p in s.initial],
-        "capabilities": {
-            "multiplicity_detection": s.caps.multiplicity_detection,
-            "localization_knowledge": s.caps.localization_knowledge,
-        },
-        "scheduler": {"kind": s.scheduler.kind, "param": s.scheduler.param},
-        "protocol": {
-            "kind": s.protocol.kind,
-            "pattern": None
-            if s.protocol.pattern is None
-            else [[p.x, p.y] for p in s.protocol.pattern],
-            "rule": s.protocol.rule,
-        },
-        "seed": s.seed,
-        "max_steps": s.max_steps,
-        "stop_rule": s.stop_rule,
-    }
-
-
-def scenario_from_dict(d: dict) -> Scenario:
-    from .world import LocalFrame  # local import keeps module top light
-
-    robots = tuple(
-        Robot(
-            index=i,
-            sigma=float(r["sigma"]),
-            frame=LocalFrame(
-                origin=Point(float(r["frame"]["origin"][0]), float(r["frame"]["origin"][1])),
-                rotation=float(r["frame"]["rotation"]),
-                reflect=bool(r["frame"]["reflect"]),
-                unit=float(r["frame"]["unit"]),
-            ),
-        )
-        for i, r in enumerate(d["robots"])
-    )
-    pat = d["protocol"]["pattern"]
-    return Scenario(
-        robots=robots,
-        initial=as_configuration(d["initial"]),
-        caps=Capabilities(
-            multiplicity_detection=bool(d["capabilities"]["multiplicity_detection"]),
-            localization_knowledge=bool(d["capabilities"]["localization_knowledge"]),
-        ),
-        scheduler=SchedulerSpec(d["scheduler"]["kind"], d["scheduler"]["param"]),
-        protocol=ProtocolSpec(
-            kind=d["protocol"]["kind"],
-            pattern=None if pat is None else tuple(Point(float(x), float(y)) for x, y in pat),
-            rule=d["protocol"]["rule"],
-        ),
-        seed=int(d["seed"]),
-        max_steps=int(d["max_steps"]),
-        stop_rule=d["stop_rule"],
-    )
-
-
-def scenario_digest(s: Scenario) -> str:
-    blob = json.dumps(scenario_to_dict(s), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from scattersim import Point, load_scenario, parse_scenario_text, scenario_digest
+import scattersim
+from scattersim import Point, load_scenario, parse_scenario_text, scenario_digest, scenario_text
 from scattersim.errors import ScatterSimError, ScenarioParseError, ScenarioValidationError
 
 VALID = """\
@@ -342,3 +345,25 @@ def test_api_only_fault_is_reported_by_class_message_and_field(changes, message,
     with pytest.raises(ScatterSimError) as err:
         replace(BASE, **changes).validate()
     assert _reported(err.value) == (V, message, None, field)
+
+
+def test_every_validation_field_names_a_key_of_the_table():
+    """Each field that package code raises a ScenarioValidationError with
+    names a key of the scenario file, so the parser can find its line;
+    ``scheduler.param`` stands for ``p`` or ``window``. The one-fault
+    tables reach every such field."""
+    fields = set()
+    for path in Path(scattersim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if getattr(getattr(node, "func", None), "id", None) == "ScenarioValidationError":
+                assert not node.keywords, path
+                field = node.args[1] if len(node.args) == 2 else None
+                if isinstance(field, ast.Constant):
+                    fields.add(field.value)
+                else:  # none, or the field of the error the parser raises again
+                    assert field is None or getattr(field, "attr", None) == "field", path
+    for field in fields:
+        names = ("scheduler.p", "scheduler.window") if field == "scheduler.param" else (field,)
+        assert all(name in scenario_text._KEYS for name in names), field
+    reached = {case[-1] for case in ONE_FAULT + API_FAULTS} - {None}
+    assert reached == fields
