@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -418,28 +419,45 @@ class ReplayVerdict:
     message: str
 
 
+# Each field a record holds, its name in a verdict, and whether it is a
+# row of points, compared bit for bit.
 _REPLAYED_FIELDS = (
-    ("config", "configuration"),
-    ("active", "activation set"),
-    ("t", "instant counter"),
-    ("coins", "coin record"),
-    ("targets", "target record"),
+    ("config", "configuration", True),
+    ("active", "activation set", False),
+    ("t", "instant counter", False),
+    ("coins", "coin record", False),
+    ("targets", "target record", True),
 )
+
+
+def _same_bits(a, b) -> bool:
+    """Whether the rows of points ``a`` and ``b`` hold the same doubles,
+    bit for bit. Equal finite doubles differ in their bits only as ``0.0``
+    and ``-0.0``, so only a row that holds a zero has its signs compared."""
+    if a != b:
+        return False
+    if 0.0 not in chain.from_iterable(a):
+        return True
+    return all(
+        math.copysign(1, u) == math.copysign(1, v) for p, q in zip(a, b) for u, v in zip(p, q)
+    )
 
 
 def replay(trace: Trace) -> ReplayVerdict:
     """Re-execute the embedded scenario and compare every record field
     (configuration, activation set, ``t``, coins, targets) instant by
-    instant, then the length and final status. Refuses to run on a
-    digest mismatch."""
+    instant, then the length and final status. Positions and targets are
+    compared bit for bit, so a changed sign of a zero diverges. Refuses to
+    run on a digest mismatch."""
     if trace.digest != scenario_digest(trace.scenario):
         raise DigestMismatchError("trace digest does not match its embedded scenario")
     fresh = run(trace.scenario)
-    if fresh.initial != trace.initial:
+    if not _same_bits(fresh.initial, trace.initial):
         return ReplayVerdict(False, 0, "initial configuration differs")
     for j, (a, b) in enumerate(zip(trace.records, fresh.records)):
-        for field, name in _REPLAYED_FIELDS:
-            if getattr(a, field) != getattr(b, field):
+        for field, name, points in _REPLAYED_FIELDS:
+            x, y = getattr(a, field), getattr(b, field)
+            if not (_same_bits(x, y) if points else x == y):
                 return ReplayVerdict(False, j + 1, f"{name} diverges at instant {j + 1}")
     if len(fresh.records) != len(trace.records) or fresh.status != trace.status:
         k = min(len(fresh.records), len(trace.records)) + 1
@@ -512,7 +530,7 @@ def _json_int(text: str):
 _RECORD_DECODER = json.JSONDecoder(parse_int=_json_int)
 
 
-def _positions(pairs, before_pairs, before: Configuration) -> Configuration:
+def _positions(pairs: list, before_pairs: list, before: Configuration) -> Configuration:
     """The points of a record's ``positions`` row. A robot whose pair
     equals its pair in the record before keeps that record's ``Point``,
     unless a coordinate is zero: ``0`` and ``-0`` are equal, but their
@@ -527,10 +545,44 @@ def _positions(pairs, before_pairs, before: Configuration) -> Configuration:
     return tuple(points)
 
 
+_INT, _NUMBER, _ARRAY = {int}, {int, float}, {list}
+
+
+def _all_of(values, types: set) -> bool:
+    """Whether the exact type of every item of ``values`` is in ``types``
+    (a bool is an int, but its exact type is not)."""
+    return set(map(type, values)) <= types
+
+
+def _record(obj, pairs: list, before: Configuration) -> StepRecord:
+    """The record in the decoded line ``obj``. Each field must have the
+    JSON type that :func:`write_trace` writes, else ValueError: ``t`` an
+    integer, ``active`` an array of integers, ``coins`` an array of integer
+    arrays, ``targets`` and ``positions`` arrays of ``[x, y]`` number pairs."""
+    t, active, coins = obj["t"], obj["active"], obj["coins"]
+    targets, positions = obj["targets"], obj["positions"]
+    if type(t) is not int:
+        raise ValueError(f"t must be an integer, not {t!r}")
+    if type(active) is not list or not _all_of(active, _INT):
+        raise ValueError("active must be an array of integers")
+    if type(coins) is not list or not _all_of(coins, _ARRAY) or not _all_of(chain(*coins), _INT):
+        raise ValueError("coins must be an array of integer arrays")
+    for name, row in (("targets", targets), ("positions", positions)):
+        if type(row) is not list or not _all_of(row, _ARRAY) or not _all_of(chain(*row), _NUMBER):
+            raise ValueError(f"{name} must be an array of [x, y] number pairs")
+    return StepRecord(
+        t=t,
+        active=tuple(active),
+        coins=tuple(map(tuple, coins)),
+        targets=tuple(Point(float(x), float(y)) for x, y in targets),
+        config=_positions(positions, pairs, before),
+    )
+
+
 def load_trace(path) -> Trace:
-    """Read a trace that :func:`write_trace` wrote, checking each record
-    (see README, Trace format); a malformed file raises
-    :class:`TraceFormatError`.
+    """Read a trace that :func:`write_trace` wrote, checking its header,
+    its trailer and each record (see README, Trace format); a malformed
+    file raises :class:`TraceFormatError`, and one in a record names it.
 
     Every coordinate keeps its bits, the sign of a zero included: a
     record's ``-0`` loads as ``-0.0``. A robot whose position pair repeats
@@ -548,6 +600,8 @@ def load_trace(path) -> Trace:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"bad header: {exc}") from exc
+    if not isinstance(header, dict) or "digest" not in header:
+        raise TraceFormatError("bad header: not an object with a digest")
     if header.get("format") != TRACE_FORMAT or header.get("version") != TRACE_VERSION:
         raise TraceFormatError("unrecognized trace format or version")
     try:
@@ -558,7 +612,7 @@ def load_trace(path) -> Trace:
         trailer = json.loads(lines[-1])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"bad trailer: {exc}") from exc
-    if "status" not in trailer:
+    if not isinstance(trailer, dict) or "status" not in trailer:
         raise TraceFormatError("truncated trace: missing status trailer")
     n = len(scenario.initial)
     records = []
@@ -567,16 +621,10 @@ def load_trace(path) -> Trace:
     for k, ln in enumerate(lines[1:-1]):
         try:
             obj = _RECORD_DECODER.decode(ln)
-            rec = StepRecord(
-                t=int(obj["t"]),
-                active=tuple(int(i) for i in obj["active"]),
-                coins=tuple(tuple(int(c) for c in cs) for cs in obj["coins"]),
-                targets=tuple(Point(float(x), float(y)) for x, y in obj["targets"]),
-                config=_positions(obj["positions"], pairs, config),
-            )
-            pairs, config = list(obj["positions"]), rec.config  # indexable, whatever the row's type
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise TraceFormatError(f"bad record line: {exc}") from exc
+            rec = _record(obj, pairs, config)
+        except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            raise TraceFormatError(f"record {k}: bad record line: {exc}") from exc
+        pairs, config = obj["positions"], rec.config
         if rec.t != k:
             raise TraceFormatError(f"record {k}: t = {rec.t}, expected {k}")
         if len(rec.config) != n:

@@ -179,7 +179,8 @@ CAPS_ON = [
 TWO_ROBOTS = [("count = 3", "count = 2"), ("positions = 0,0 1,0 2,0", "positions = 0,0 1,0")]
 ONE_FAULT = [
     # the scan: sections, assignments, keys
-    ("unknown-section", [("[protocol]", "[protocols]")], P, "line 21: unknown section [protocols]", 21, None),
+    ("unknown-section", [("[protocol]", "[protocols]")],
+     P, "line 21: unknown section [protocols]", 21, None),
     ("not-an-assignment", [("count = 3", "count 3")], P, "line 8: expected 'key = value'", 8, None),
     ("unknown-top-key", [("stop_rule = none", "stop_rules = none")], P,
      "line 5: unknown key 'stop_rules' in top level", 5, None),
@@ -189,17 +190,23 @@ ONE_FAULT = [
      "line 11: unknown key 'frame' in section [robots]", 11, None),
     ("top-key-in-section", [("kind = scatter", "kind = scatter\nseed = 1")], P,
      "line 23: unknown key 'seed' in section [protocol]", 23, None),
-    ("duplicate-top-key", [("seed = 42", "seed = 42\nseed = 43")], P, "line 4: duplicate key 'seed'", 4, None),
-    ("duplicate-section-key", [("p = 0.5", "p = 0.5\np = 0.5")], P, "line 20: duplicate key 'p'", 20, None),
+    ("duplicate-top-key", [("seed = 42", "seed = 42\nseed = 43")],
+     P, "line 4: duplicate key 'seed'", 4, None),
+    ("duplicate-section-key", [("p = 0.5", "p = 0.5\np = 0.5")],
+     P, "line 20: duplicate key 'p'", 20, None),
     # missing required keys
-    ("missing-version", [("version = 1\n", "")], P, "missing required key 'version' in top level", None, None),
-    ("missing-seed", [("seed = 42\n", "")], P, "missing required key 'seed' in top level", None, None),
+    ("missing-version", [("version = 1\n", "")],
+     P, "missing required key 'version' in top level", None, None),
+    ("missing-seed", [("seed = 42\n", "")],
+     P, "missing required key 'seed' in top level", None, None),
     ("missing-max_steps", [("max_steps = 500\n", "")], P,
      "missing required key 'max_steps' in top level", None, None),
-    ("missing-count", [("count = 3\n", "")], P, "line 7: missing required key 'count' in [robots]", 7, None),
+    ("missing-count", [("count = 3\n", "")],
+     P, "line 7: missing required key 'count' in [robots]", 7, None),
     ("missing-positions", [("positions = 0,0 1,0 2,0\n", "")], P,
      "line 7: missing required key 'positions' in [robots]", 7, None),
-    ("missing-sigma", [("sigma = 1.0\n", "")], P, "line 7: missing required key 'sigma' in [robots]", 7, None),
+    ("missing-sigma", [("sigma = 1.0\n", "")],
+     P, "line 7: missing required key 'sigma' in [robots]", 7, None),
     ("missing-scheduler-kind", [("kind = bernoulli\n", "")], P,
      "line 17: missing required key 'kind' in [scheduler]", 17, None),
     ("missing-protocol-kind", [("kind = scatter\n", "")], P,
@@ -208,29 +215,36 @@ ONE_FAULT = [
      "missing required key 'kind' in [protocol]", None, None),
     # values the parser refuses
     ("version", [("version = 1", "version = 2")], P, "line 2: unsupported version '2'", 2, None),
-    ("seed-integer", [("seed = 42", "seed = 4.2")], P, "line 3: seed must be an integer, got '4.2'", 3, None),
+    ("seed-integer", [("seed = 42", "seed = 4.2")],
+     P, "line 3: seed must be an integer, got '4.2'", 3, None),
     ("max_steps-integer", [("max_steps = 500", "max_steps = lots")], P,
      "line 4: max_steps must be an integer, got 'lots'", 4, None),
-    ("count-integer", [("count = 3", "count = three")], P, "line 8: count must be an integer, got 'three'", 8, None),
+    ("count-integer", [("count = 3", "count = three")],
+     P, "line 8: count must be an integer, got 'three'", 8, None),
     ("positions-pair", [("positions = 0,0 1,0 2,0", "positions = 0,0 1;0 2,0")], P,
      "line 9: expected x,y pairs, got '1;0'", 9, None),
     ("positions-empty", [("positions = 0,0 1,0 2,0", "positions =")], P,
      "line 9: expected at least one x,y pair", 9, None),
-    ("count-positions", [("count = 3", "count = 4")], P, "line 9: count = 4 but 3 positions given", 9, None),
-    ("sigma-numeric", [("sigma = 1.0", "sigma = one")], P, "line 10: sigma must be numeric, got 'one'", 10, None),
-    ("sigma-values", [("sigma = 1.0", "sigma = 1.0 2.0")], P, "line 10: sigma needs 1 or 3 values, got 2", 10, None),
+    ("count-positions", [("count = 3", "count = 4")],
+     P, "line 9: count = 4 but 3 positions given", 9, None),
+    ("sigma-numeric", [("sigma = 1.0", "sigma = one")],
+     P, "line 10: sigma must be numeric, got 'one'", 10, None),
+    ("sigma-values", [("sigma = 1.0", "sigma = 1.0 2.0")],
+     P, "line 10: sigma needs 1 or 3 values, got 2", 10, None),
     ("frames", [("frames = identity", "frames = random")], P,
      "line 11: frames must be identity or seeded-random", 11, None),
-    ("multiplicity-boolean", [("multiplicity_detection = off", "multiplicity_detection = maybe")], P,
-     "line 14: expected a boolean, got 'maybe'", 14, None),
+    ("multiplicity-boolean", [("multiplicity_detection = off", "multiplicity_detection = maybe")],
+     P, "line 14: expected a boolean, got 'maybe'", 14, None),
     ("localization-boolean", [("localization_knowledge = off", "localization_knowledge = 2")], P,
      "line 15: expected a boolean, got '2'", 15, None),
     ("p-numeric", [("p = 0.5", "p = half")], P, "line 19: p must be numeric, got 'half'", 19, None),
     ("window-integer", [("kind = bernoulli\np = 0.5", "kind = bounded_delay\nwindow = 2.5")], P,
      "line 19: window must be an integer, got '2.5'", 19, None),
-    ("p-and-window", [("p = 0.5", "p = 0.5\nwindow = 4")], P, "line 20: give either p or window, not both", 20, None),
-    ("pattern-pair", CAPS_ON + [("kind = scatter", "kind = reference_pattern\npattern = 0,0 1,0 x")], P,
-     "line 23: expected x,y pairs, got 'x'", 23, None),
+    ("p-and-window", [("p = 0.5", "p = 0.5\nwindow = 4")],
+     P, "line 20: give either p or window, not both", 20, None),
+    ("pattern-pair",
+     CAPS_ON + [("kind = scatter", "kind = reference_pattern\npattern = 0,0 1,0 x")],
+     P, "line 23: expected x,y pairs, got 'x'", 23, None),
     ("pattern-empty", CAPS_ON + [("kind = scatter", "kind = reference_pattern\npattern =")], P,
      "line 23: expected at least one x,y pair", 23, None),
     # Scenario validation
@@ -253,9 +267,12 @@ ONE_FAULT = [
     # SchedulerSpec validation
     ("scheduler-kind", [("kind = bernoulli", "kind = lottery")], V,
      "line 18: unknown scheduler kind 'lottery'", None, "scheduler.kind"),
-    ("p-range", [("p = 0.5", "p = 1.5")], V, "line 19: bernoulli scheduler needs p in (0, 1]", None, "scheduler.param"),
-    ("p-nan", [("p = 0.5", "p = nan")], V, "line 19: bernoulli scheduler needs p in (0, 1]", None, "scheduler.param"),
-    ("p-absent", [("p = 0.5\n", "")], V, "line 17: bernoulli scheduler needs p in (0, 1]", None, "scheduler.param"),
+    ("p-range", [("p = 0.5", "p = 1.5")],
+     V, "line 19: bernoulli scheduler needs p in (0, 1]", None, "scheduler.param"),
+    ("p-nan", [("p = 0.5", "p = nan")],
+     V, "line 19: bernoulli scheduler needs p in (0, 1]", None, "scheduler.param"),
+    ("p-absent", [("p = 0.5\n", "")],
+     V, "line 17: bernoulli scheduler needs p in (0, 1]", None, "scheduler.param"),
     ("window-range", [("kind = bernoulli\np = 0.5", "kind = bounded_delay\nwindow = 0")], V,
      "line 19: bounded_delay scheduler needs an integer window >= 1", None, "scheduler.param"),
     ("window-given-p", [("kind = bernoulli", "kind = bounded_delay")], V,
@@ -267,10 +284,11 @@ ONE_FAULT = [
      "line 22: unknown protocol kind 'spread'", None, "protocol.kind"),
     ("pattern-needed", CAPS_ON + [("kind = scatter", "kind = reference_pattern")], V,
      "line 21: protocol reference_pattern needs a pattern", None, "protocol.pattern"),
-    ("pattern-distinct", CAPS_ON + [("kind = scatter", "kind = reference_pattern\npattern = 0,0 0,0 1,0")], V,
-     "line 23: pattern points must be pairwise distinct", None, "protocol.pattern"),
-    ("pattern-size", CAPS_ON + [("kind = scatter", "kind = reference_pattern\npattern = 0,0 1,0")], V,
-     "line 23: pattern has 2 points for 3 robots", None, "protocol.pattern"),
+    ("pattern-distinct",
+     CAPS_ON + [("kind = scatter", "kind = reference_pattern\npattern = 0,0 0,0 1,0")],
+     V, "line 23: pattern points must be pairwise distinct", None, "protocol.pattern"),
+    ("pattern-size", CAPS_ON + [("kind = scatter", "kind = reference_pattern\npattern = 0,0 1,0")],
+     V, "line 23: pattern has 2 points for 3 robots", None, "protocol.pattern"),
     ("pattern-refused", [("kind = scatter", "kind = scatter\npattern = 0,0 1,0 2,0")], V,
      "line 23: protocol scatter takes no pattern", None, "protocol.pattern"),
     ("rule-refused", [("kind = scatter", "kind = scatter\nrule = unit_x")], V,
@@ -283,8 +301,9 @@ ONE_FAULT = [
     ("needs-localization", CAPS_ON[:1] + [("kind = scatter", "kind = stabilized_gather")], V,
      "line 15: capabilities: protocol stabilized_gather requires localization_knowledge", None,
      "capabilities.localization_knowledge"),
-    ("needs-section", [("[capabilities]\nmultiplicity_detection = off\nlocalization_knowledge = off\n", ""),
-                       ("kind = scatter", "kind = stabilized_gather")], V,
+    ("needs-section",
+     [("[capabilities]\nmultiplicity_detection = off\nlocalization_knowledge = off\n", ""),
+      ("kind = scatter", "kind = stabilized_gather")], V,
      "capabilities: protocol stabilized_gather requires multiplicity_detection", None,
      "capabilities.multiplicity_detection"),
     ("exact-n", [("kind = scatter", "kind = pair_gather")], V,
@@ -307,7 +326,9 @@ def _reported(exc):
 
 
 @pytest.mark.parametrize(
-    "edits, cls, message, line, field", [case[1:] for case in ONE_FAULT], ids=[case[0] for case in ONE_FAULT]
+    "edits, cls, message, line, field",
+    [case[1:] for case in ONE_FAULT],
+    ids=[case[0] for case in ONE_FAULT],
 )
 def test_one_fault_is_reported_by_class_message_line_and_field(edits, cls, message, line, field):
     with pytest.raises(ScatterSimError) as err:
@@ -320,7 +341,9 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     path.write_bytes(b"\xff" + VALID.encode())
     with pytest.raises(ScatterSimError) as err:
         load_scenario(path)
-    message = "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    message = (
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    )
     assert _reported(err.value) == (P, message, None, None)
 
 
@@ -339,7 +362,9 @@ API_FAULTS = [
 
 
 @pytest.mark.parametrize(
-    "changes, message, field", [case[1:] for case in API_FAULTS], ids=[case[0] for case in API_FAULTS]
+    "changes, message, field",
+    [case[1:] for case in API_FAULTS],
+    ids=[case[0] for case in API_FAULTS],
 )
 def test_api_only_fault_is_reported_by_class_message_and_field(changes, message, field):
     with pytest.raises(ScatterSimError) as err:

@@ -11,12 +11,16 @@ load keeps the bits of every coordinate, the sign of a zero included.
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scattersim import Point, load_trace, replay, run, write_trace
+from scattersim import Point, ReplayVerdict, load_trace, replay, run, write_trace
+from scattersim.errors import TraceFormatError
 from scattersim.cli import main
 from scattersim.engine import (
     StepRecord,
@@ -172,11 +176,19 @@ def test_trace_io_matches_the_reference_renderers(trace):
                 assert a is b
 
 
-def test_signed_zeros_survive_write_load_and_export(tmp_path):
-    scenario = make_scenario(
-        [(-0.0, 0.0), (-0.0, 0.0), (3.0, -0.0)], scheduler=("round_robin", None), seed=1, max_steps=3
+def signed_zero_run():
+    return run(
+        make_scenario(
+            [(-0.0, 0.0), (-0.0, 0.0), (3.0, -0.0)],
+            scheduler=("round_robin", None),
+            seed=1,
+            max_steps=3,
+        )
     )
-    loaded = check_roundtrip(run(scenario), tmp_path)
+
+
+def test_signed_zeros_survive_write_load_and_export(tmp_path):
+    loaded = check_roundtrip(signed_zero_run(), tmp_path)
     first = (tmp_path / "t.trace").read_text(encoding="utf-8").splitlines()[1]
     assert "[-0,0]" in first and "[3,-0]" in first
     assert loaded.records[0].config[1].x.hex() == "-0x0.0p+0"
@@ -203,17 +215,177 @@ def test_load_takes_the_sign_of_a_zero_that_alone_changes(tmp_path):
     assert [bits(rec.config) for rec in loaded.records] == [bits(c) for c in configs]
 
 
-def test_load_compares_repeated_rows_of_any_json_container(tmp_path):
-    """A positions row is read by iterating it, so a JSON object whose
-    keys are two-character numbers is a row of points; two such rows in a
-    row load as the first did."""
+def _written(tmp_path, edit):
+    """The path of a short trace after ``edit(lines)`` changed its lines."""
     path = tmp_path / "t.trace"
-    write_trace(run(make_scenario([(1, 2), (3, 4)], max_steps=3)), path)
+    write_trace(run(make_scenario([(1, 2), (1, 2), (3, 4)], max_steps=3)), path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    for k in (1, 2):
-        rec = json.loads(lines[k])
-        rec["positions"] = {"12": 0, "34": 0}
-        lines[k] = json.dumps(rec)
+    edit(lines)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    loaded = load_trace(path)
-    assert [rec.config for rec in loaded.records[:2]] == [(Point(1.0, 2.0), Point(3.0, 4.0))] * 2
+    return path
+
+
+def _first_record(edit):
+    def apply(lines):
+        rec = json.loads(lines[1])
+        edit(rec)
+        lines[1] = json.dumps(rec)
+
+    return apply
+
+
+def _set(field, value):
+    return _first_record(lambda rec: rec.__setitem__(field, value(rec)))
+
+
+def _pairs(field, pair):
+    return _set(field, lambda rec: [pair(x, y) for x, y in rec[field]])
+
+
+ACTIVE = "active must be an array of integers"
+COINS = "coins must be an array of integer arrays"
+PAIRS = "must be an array of [x, y] number pairs"
+
+# Record fields of a JSON type that write_trace never writes. Such a
+# string, fraction or bool once loaded as a number, and replayed identical.
+BAD_FIELD_TYPES = {
+    "t-string": (_set("t", lambda r: "0"), "t must be an integer, not '0'"),
+    "t-fraction": (_set("t", lambda r: 0.9), "t must be an integer, not 0.9"),
+    "t-bool": (_set("t", lambda r: False), "t must be an integer, not False"),
+    "active-string": (_set("active", lambda r: [str(i) for i in r["active"]]), ACTIVE),
+    "active-bool": (_set("active", lambda r: [True] * len(r["active"])), ACTIVE),
+    "active-object": (_set("active", lambda r: {"0": 0}), ACTIVE),
+    "coin-string": (_set("coins", lambda r: [["0"] for _ in r["active"]]), COINS),
+    "coin-bool": (_set("coins", lambda r: [[True] for _ in r["active"]]), COINS),
+    "coin-row": (_set("coins", lambda r: [0 for _ in r["active"]]), COINS),
+    "target-string": (_pairs("targets", lambda x, y: [str(x), y]), "targets"),
+    "target-object": (_set("targets", lambda r: {"12": 0}), "targets"),
+    "position-string": (_pairs("positions", lambda x, y: [x, str(y)]), "positions"),
+    "position-null": (_pairs("positions", lambda x, y: [None, y]), "positions"),
+    "position-bool": (_pairs("positions", lambda x, y: [True, y]), "positions"),
+    "position-pair-object": (_set("positions", lambda r: [{"1": 0, "2": 0}] * 3), "positions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELD_TYPES))
+def test_load_refuses_a_field_of_a_json_type_never_written(case, tmp_path):
+    edit, reason = BAD_FIELD_TYPES[case]
+    if reason in ("targets", "positions"):
+        reason = f"{reason} {PAIRS}"
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(_written(tmp_path, edit))
+    assert str(err.value) == f"record 0: bad record line: {reason}"
+
+
+def test_load_refuses_a_positions_row_that_is_not_an_array(tmp_path):
+    """A JSON object whose keys are two-character numbers iterates as a
+    row of points, so two such rows in a row once loaded as the first
+    did. The first is refused now."""
+
+    def edit(lines):
+        for k in (1, 2):
+            rec = json.loads(lines[k])
+            rec["positions"] = {"12": 0, "34": 0}
+            lines[k] = json.dumps(rec)
+
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(_written(tmp_path, edit))
+    assert str(err.value) == f"record 0: bad record line: positions {PAIRS}"
+
+
+def _header(edit):
+    def apply(lines):
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header)
+
+    return apply
+
+
+JSON_ERROR = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NO_DIGEST = "bad header: not an object with a digest"
+UNRECOGNIZED = "unrecognized trace format or version"
+TRUNCATED = "truncated trace: missing status trailer"
+
+BAD_ENDS = {
+    "empty": (lambda lines: lines.clear(), "empty trace file"),
+    "header-json": (lambda lines: lines.__setitem__(0, "{"), f"bad header: {JSON_ERROR}"),
+    "header-array": (lambda lines: lines.__setitem__(0, "[]"), NO_DIGEST),
+    "header-digest": (_header(lambda h: h.pop("digest")), NO_DIGEST),
+    "format": (_header(lambda h: h.__setitem__("format", "other")), UNRECOGNIZED),
+    "version": (_header(lambda h: h.__setitem__("version", 2)), UNRECOGNIZED),
+    "scenario": (_header(lambda h: h["scenario"].pop("robots")), "bad embedded scenario: 'robots'"),
+    "scenario-value": (
+        _header(lambda h: h["scenario"]["robots"][0].__setitem__("sigma", -1)),
+        "bad embedded scenario: sigma must be a positive finite length",
+    ),
+    "trailer-json": (lambda lines: lines.__setitem__(-1, "{"), f"bad trailer: {JSON_ERROR}"),
+    "trailer-missing": (lambda lines: lines.pop(), TRUNCATED),
+    "trailer-number": (lambda lines: lines.__setitem__(-1, "5"), TRUNCATED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENDS))
+def test_load_refuses_a_bad_header_or_trailer(case, tmp_path):
+    edit, message = BAD_ENDS[case]
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(_written(tmp_path, edit))
+    assert str(err.value) == message
+
+
+def test_load_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_bytes(b'{"format":"\xff"}\n')
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(path)
+    assert str(err.value) == (
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+    )
+
+
+def test_replay_diverges_where_the_sign_of_a_zero_changed(tmp_path):
+    """The signed-zero run above, its record 0 edited from [3,-0] to
+    [3,0]: equal under ==, but not the recorded bits."""
+    path = tmp_path / "t.trace"
+    write_trace(signed_zero_run(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1].count("[3,-0]") == 1
+    lines[1] = lines[1].replace("[3,-0]", "[3,0]")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    verdict = replay(load_trace(path))
+    assert (verdict.passed, verdict.first_divergence, verdict.message) == (
+        False, 1, "configuration diverges at instant 1"
+    )
+
+
+def _flip_zero(points, i):
+    """``points`` with the sign of point ``i``'s first zero coordinate flipped."""
+    p = points[i]
+    flipped = Point(-p.x, p.y) if p.x == 0 else Point(p.x, -p.y)
+    return points[:i] + (flipped,) + points[i + 1 :]
+
+
+def test_replay_diverges_on_any_changed_sign_of_a_zero():
+    """Robots that walk onto the lex-min point (-0, 0) stay there; every
+    position or target with a zero coordinate, its sign flipped, diverges
+    at its own instant, and the initial configuration at instant 0."""
+    scenario = make_scenario(
+        [(-0.0, 0.0), (0.5, 0.0), (0.0, 0.5)], protocol="deterministic_rule", rule="lex_min",
+        scheduler=("round_robin", None), max_steps=6,
+    )
+    trace = run(scenario)
+    assert replay(trace).passed
+    flipped = replace(trace, initial=_flip_zero(trace.initial, 1))
+    assert replay(flipped) == ReplayVerdict(False, 0, "initial configuration differs")
+    cases = 0
+    for k, rec in enumerate(trace.records):
+        for field, name in (("config", "configuration"), ("targets", "target record")):
+            for i, p in enumerate(getattr(rec, field)):
+                if 0.0 in p:
+                    edited = replace(rec, **{field: _flip_zero(getattr(rec, field), i)})
+                    records = trace.records[:k] + (edited,) + trace.records[k + 1 :]
+                    verdict = replay(replace(trace, records=records))
+                    message = f"{name} diverges at instant {k + 1}"
+                    assert verdict == ReplayVerdict(False, k + 1, message)
+                    cases += 1
+    assert cases >= 6 * 3
