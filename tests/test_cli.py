@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +324,23 @@ def test_replay_rejects_an_infinite_window_in_the_header(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(forged)]) == 2
     assert "bounded_delay scheduler needs an integer window >= 1" in capsys.readouterr().err
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["scatter.scn", "gather.scn"])
+def test_readme_example_files_run_replay_and_export(name, tmp_path, capsys):
+    """The README's example files, as its Command line section runs them."""
+    trace = tmp_path / "t.trace"
+    assert main(["run", str(SCENARIOS / name), "--out", str(trace), "--max-steps", "50"]) == 0
+    status, instants = capsys.readouterr().out.split()[:2]
+    assert main(["replay", str(trace)]) == 0
+    assert capsys.readouterr().out == "identical\n"
+    assert main(["export", str(trace), "--format", "csv-summary"]) == 0
+    header, columns, row = capsys.readouterr().out.splitlines()
+    assert header == "# scattersim csv-summary v1"
+    summary = dict(zip(columns.split(","), row.split(",")))
+    assert f"instants={summary['instants']}" == instants and f"status={summary['status']}" == status
+    assert 1 <= int(summary["instants"]) <= 50
+    assert load_trace(trace).scenario.max_steps == 50
