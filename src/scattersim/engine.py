@@ -430,16 +430,11 @@ _REPLAYED_FIELDS = (
 )
 
 
-def _same_bits(a, b) -> bool:
-    """Whether the rows of points ``a`` and ``b`` hold the same doubles,
-    bit for bit. Equal finite doubles differ in their bits only as ``0.0``
-    and ``-0.0``, so only a row that holds a zero has its signs compared."""
-    if a != b:
-        return False
-    if 0.0 not in chain.from_iterable(a):
-        return True
-    return all(
-        math.copysign(1, u) == math.copysign(1, v) for p, q in zip(a, b) for u, v in zip(p, q)
+def _signs_differ(a, b) -> bool:
+    """Whether the equal rows of points ``a`` and ``b`` differ in the sign
+    of a zero, the one way equal finite doubles can differ in their bits."""
+    return any(
+        math.copysign(1, u) != math.copysign(1, v) for p, q in zip(a, b) for u, v in zip(p, q)
     )
 
 
@@ -452,12 +447,13 @@ def replay(trace: Trace) -> ReplayVerdict:
     if trace.digest != scenario_digest(trace.scenario):
         raise DigestMismatchError("trace digest does not match its embedded scenario")
     fresh = run(trace.scenario)
-    if not _same_bits(fresh.initial, trace.initial):
+    if fresh.initial != trace.initial or _signs_differ(fresh.initial, trace.initial):
         return ReplayVerdict(False, 0, "initial configuration differs")
     for j, (a, b) in enumerate(zip(trace.records, fresh.records)):
         for field, name, points in _REPLAYED_FIELDS:
             x, y = getattr(a, field), getattr(b, field)
-            if not (_same_bits(x, y) if points else x == y):
+            # Only a row that holds a zero has its signs compared.
+            if x != y or points and not all(chain.from_iterable(x)) and _signs_differ(x, y):
                 return ReplayVerdict(False, j + 1, f"{name} diverges at instant {j + 1}")
     if len(fresh.records) != len(trace.records) or fresh.status != trace.status:
         k = min(len(fresh.records), len(trace.records)) + 1
@@ -567,9 +563,11 @@ def _record(obj, pairs: list, before: Configuration) -> StepRecord:
         raise ValueError("active must be an array of integers")
     if type(coins) is not list or not _all_of(coins, _ARRAY) or not _all_of(chain(*coins), _INT):
         raise ValueError("coins must be an array of integer arrays")
-    for name, row in (("targets", targets), ("positions", positions)):
-        if type(row) is not list or not _all_of(row, _ARRAY) or not _all_of(chain(*row), _NUMBER):
-            raise ValueError(f"{name} must be an array of [x, y] number pairs")
+    # A pair that is not an array yields strings (an object's keys, a
+    # string's characters), fails to iterate, or fails to unpack.
+    rows = (targets, positions)
+    if not _all_of(rows, _ARRAY) or not _all_of(chain(*targets, *positions), _NUMBER):
+        raise ValueError("targets and positions must be arrays of [x, y] number pairs")
     return StepRecord(
         t=t,
         active=tuple(active),

@@ -244,7 +244,7 @@ def _pairs(field, pair):
 
 ACTIVE = "active must be an array of integers"
 COINS = "coins must be an array of integer arrays"
-PAIRS = "must be an array of [x, y] number pairs"
+PAIRS = "targets and positions must be arrays of [x, y] number pairs"
 
 # Record fields of a JSON type that write_trace never writes. Such a
 # string, fraction or bool once loaded as a number, and replayed identical.
@@ -258,20 +258,25 @@ BAD_FIELD_TYPES = {
     "coin-string": (_set("coins", lambda r: [["0"] for _ in r["active"]]), COINS),
     "coin-bool": (_set("coins", lambda r: [[True] for _ in r["active"]]), COINS),
     "coin-row": (_set("coins", lambda r: [0 for _ in r["active"]]), COINS),
-    "target-string": (_pairs("targets", lambda x, y: [str(x), y]), "targets"),
-    "target-object": (_set("targets", lambda r: {"12": 0}), "targets"),
-    "position-string": (_pairs("positions", lambda x, y: [x, str(y)]), "positions"),
-    "position-null": (_pairs("positions", lambda x, y: [None, y]), "positions"),
-    "position-bool": (_pairs("positions", lambda x, y: [True, y]), "positions"),
-    "position-pair-object": (_set("positions", lambda r: [{"1": 0, "2": 0}] * 3), "positions"),
+    "target-string": (_pairs("targets", lambda x, y: [str(x), y]), PAIRS),
+    "target-object": (_set("targets", lambda r: {"12": 0}), PAIRS),
+    "position-string": (_pairs("positions", lambda x, y: [x, str(y)]), PAIRS),
+    "position-null": (_pairs("positions", lambda x, y: [None, y]), PAIRS),
+    "position-bool": (_pairs("positions", lambda x, y: [True, y]), PAIRS),
+    "position-pair-object": (_set("positions", lambda r: [{"1": 0, "2": 0}] * 3), PAIRS),
+    "position-pair-string": (_set("positions", lambda r: ["12"] * 3), PAIRS),
+    "position-pair-number": (_set("positions", lambda r: [5] * 3), "'int' object is not iterable"),
+    "position-pair-short": (
+        _set("positions", lambda r: [[5]] * 3),
+        "not enough values to unpack (expected 2, got 1)",
+    ),
+    "coin-row-string": (_set("coins", lambda r: ["" for _ in r["active"]]), COINS),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FIELD_TYPES))
 def test_load_refuses_a_field_of_a_json_type_never_written(case, tmp_path):
     edit, reason = BAD_FIELD_TYPES[case]
-    if reason in ("targets", "positions"):
-        reason = f"{reason} {PAIRS}"
     with pytest.raises(TraceFormatError) as err:
         load_trace(_written(tmp_path, edit))
     assert str(err.value) == f"record 0: bad record line: {reason}"
@@ -290,7 +295,7 @@ def test_load_refuses_a_positions_row_that_is_not_an_array(tmp_path):
 
     with pytest.raises(TraceFormatError) as err:
         load_trace(_written(tmp_path, edit))
-    assert str(err.value) == f"record 0: bad record line: positions {PAIRS}"
+    assert str(err.value) == f"record 0: bad record line: {PAIRS}"
 
 
 def _header(edit):
