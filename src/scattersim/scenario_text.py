@@ -39,9 +39,9 @@ line of the key at fault; a missing key names its section header's line
 ``identity`` or ``seeded-random`` (frames drawn deterministically from the
 scenario seed). ``[protocol]`` accepts ``pattern = x,y x,y ...`` for the
 pattern kinds and ``rule = ...`` for the deterministic rule. ``_KEYS``,
-the one table of keys, sets the keys, their parsers and their defaults,
-and the order in which a file's faults are found: the first fault in
-table order is reported, then the checks across keys, then validation.
+the one table of keys, sets the keys, their parsers and their defaults.
+Of several faults, the first found is reported: faults of form in file
+order, then keys in table order, then checks across keys, then validation.
 """
 
 from __future__ import annotations
@@ -332,7 +332,9 @@ def parse_scenario_text(text: str) -> Scenario:
         "capabilities": values["capabilities"],
         "scheduler": {"kind": sch["kind"], "param": window if p is None else p},
         "protocol": values["protocol"],
-        **{key: top[key] for key in ("seed", "max_steps", "stop_rule")},
+        "seed": top["seed"],
+        "max_steps": top["max_steps"],
+        "stop_rule": top["stop_rule"],
     }
     try:
         scenario = scenario_from_dict(stored)

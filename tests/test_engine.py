@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -308,6 +309,21 @@ def _edit_first_record(edit):
     return apply
 
 
+def _set(field, value):
+    return _edit_first_record(lambda rec: rec.__setitem__(field, value(rec)))
+
+
+def _pairs(field, pair):
+    return _set(field, lambda rec: [pair(x, y) for x, y in rec[field]])
+
+
+BAD = "record 0: bad record line: "
+ACTIVE = BAD + "active must be an array of integers"
+COINS = BAD + "coins must be an array of integer arrays"
+PAIRS = BAD + "targets and positions must be arrays of [x, y] number pairs"
+
+# The last entries hold a JSON type that write_trace never writes. Such a
+# string, fraction or bool once loaded as a number, and replayed identical.
 BAD_RECORDS = {
     "gap in t": (lambda lines: lines.pop(2), "t = 2, expected 1"),
     "repeated t": (lambda lines: lines.insert(2, lines[1]), "t = 0, expected 1"),
@@ -318,19 +334,93 @@ BAD_RECORDS = {
         _edit_first_record(lambda r: r["active"].__setitem__(-1, 4)),
         "out of range",
     ),
+    "t string": (_set("t", lambda r: "0"), BAD + "t must be an integer, not '0'"),
+    "t fraction": (_set("t", lambda r: 0.9), BAD + "t must be an integer, not 0.9"),
+    "t bool": (_set("t", lambda r: False), BAD + "t must be an integer, not False"),
+    "active string": (_set("active", lambda r: [str(i) for i in r["active"]]), ACTIVE),
+    "active bool": (_set("active", lambda r: [True] * len(r["active"])), ACTIVE),
+    "active object": (_set("active", lambda r: {"0": 0}), ACTIVE),
+    "coin string": (_set("coins", lambda r: [["0"] for _ in r["active"]]), COINS),
+    "coin bool": (_set("coins", lambda r: [[True] for _ in r["active"]]), COINS),
+    "coin row number": (_set("coins", lambda r: [0 for _ in r["active"]]), COINS),
+    "coin row string": (_set("coins", lambda r: ["" for _ in r["active"]]), COINS),
+    "target string": (_pairs("targets", lambda x, y: [str(x), y]), PAIRS),
+    "target row object": (_set("targets", lambda r: {"12": 0}), PAIRS),
+    "position string": (_pairs("positions", lambda x, y: [x, str(y)]), PAIRS),
+    "position null": (_pairs("positions", lambda x, y: [None, y]), PAIRS),
+    "position bool": (_pairs("positions", lambda x, y: [True, y]), PAIRS),
+    "pair object": (_pairs("positions", lambda x, y: {"1": 0, "2": 0}), PAIRS),
+    "pair string": (_pairs("positions", lambda x, y: "12"), PAIRS),
+    "pair number": (_pairs("positions", lambda x, y: 5), BAD + "'int' object is not iterable"),
+    "pair short": (_pairs("positions", lambda x, y: [x]), BAD + "not enough values to unpack"),
 }
+
+
+def _written(tmp_path, edit):
+    """A short trace file after ``edit(lines)`` changed its lines."""
+    path = tmp_path / "t.trace"
+    write_trace(run(make_scenario([(0, 0), (0, 0), (2, 1), (-1, 1)], max_steps=5)), path)
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
 def test_load_trace_rejects_inconsistent_record(case, tmp_path):
-    path = tmp_path / "t.trace"
-    write_trace(run(make_scenario([(0, 0), (0, 0), (2, 1), (-1, 1)], max_steps=5)), path)
-    lines = path.read_text().splitlines()
     edit, reason = BAD_RECORDS[case]
-    edit(lines)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError, match=reason):
+    with pytest.raises(TraceFormatError, match=re.escape(reason)):
+        load_trace(_written(tmp_path, edit))
+
+
+def _header(edit):
+    def apply(lines):
+        header = json.loads(lines[0])
+        edit(header)
+        lines[0] = json.dumps(header)
+
+    return apply
+
+
+JSON_ERROR = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NO_DIGEST = "bad header: not an object with a digest"
+UNRECOGNIZED = "unrecognized trace format or version"
+TRUNCATED = "truncated trace: missing status trailer"
+
+BAD_ENDS = {
+    "empty": (lambda lines: lines.clear(), "empty trace file"),
+    "header json": (lambda lines: lines.__setitem__(0, "{"), f"bad header: {JSON_ERROR}"),
+    "header array": (lambda lines: lines.__setitem__(0, "[]"), NO_DIGEST),
+    "header digest": (_header(lambda h: h.pop("digest")), NO_DIGEST),
+    "format": (_header(lambda h: h.__setitem__("format", "other")), UNRECOGNIZED),
+    "version": (_header(lambda h: h.__setitem__("version", 2)), UNRECOGNIZED),
+    "scenario": (_header(lambda h: h["scenario"].pop("robots")), "bad embedded scenario: 'robots'"),
+    "scenario value": (
+        _header(lambda h: h["scenario"]["robots"][0].__setitem__("sigma", -1)),
+        "bad embedded scenario: sigma must be a positive finite length",
+    ),
+    "trailer json": (lambda lines: lines.__setitem__(-1, "{"), f"bad trailer: {JSON_ERROR}"),
+    "trailer missing": (lambda lines: lines.pop(), TRUNCATED),
+    "trailer number": (lambda lines: lines.__setitem__(-1, "5"), TRUNCATED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENDS))
+def test_load_trace_rejects_a_bad_header_or_trailer(case, tmp_path):
+    edit, message = BAD_ENDS[case]
+    with pytest.raises(TraceFormatError) as err:
+        load_trace(_written(tmp_path, edit))
+    assert str(err.value) == message
+
+
+def test_load_trace_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_bytes(b'{"format":"\xff"}\n')
+    with pytest.raises(TraceFormatError) as err:
         load_trace(path)
+    assert str(err.value) == (
+        "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
+    )
 
 
 def test_replay_refuses_digest_mismatch():
