@@ -18,7 +18,7 @@ from pathlib import Path
 from . import campaigns
 from .engine import load_trace, replay, run, write_trace, _f17
 from .errors import ScatterSimError
-from .scenario_text import load_scenario
+from .scenario_text import load_scenario, scenario_digest
 from .world import multiplicity_points
 
 OUT_DIR_ENV = "SCATTERSIM_OUT"
@@ -94,7 +94,7 @@ def cmd_export(args) -> int:
             moves += sum(1 for a, b in zip(prev, rec.config) if a != b)
             prev = rec.config
         lines.append(
-            f"{trace.digest},{trace.scenario.seed},{trace.n},{len(trace.records)},"
+            f"{scenario_digest(trace.scenario)},{trace.scenario.seed},{trace.n},{len(trace.records)},"
             f"{trace.status},{len(multiplicity_points(final))},{activations},{moves}"
         )
     text = "\n".join(lines) + "\n"

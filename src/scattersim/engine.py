@@ -257,17 +257,20 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class Trace:
-    """Deterministically replayable record of one run."""
+    """Deterministically replayable record of one run. Its initial
+    configuration and robot count are its scenario's."""
 
     scenario: Scenario
-    digest: str
-    initial: Configuration
     records: tuple[StepRecord, ...]
     status: str
 
     @property
+    def initial(self) -> Configuration:
+        return self.scenario.initial
+
+    @property
     def n(self) -> int:
-        return len(self.initial)
+        return self.scenario.n
 
     def configs(self):
         """Configurations at instants 0, 1, ..., len(records)."""
@@ -381,7 +384,6 @@ def _stop_hit(stop_rule: str, config: Configuration, sorted_pattern) -> bool:
 def run(scenario: Scenario) -> Trace:
     """Execute the scenario to its stop rule or step budget."""
     scenario.validate()
-    digest = scenario_digest(scenario)
     n = scenario.n
     g = np.random.default_rng(scenario.seed)
     sched = scenario.scheduler.build()
@@ -403,13 +405,7 @@ def run(scenario: Scenario) -> Trace:
             if _stop_hit(scenario.stop_rule, config, sorted_pattern):
                 status = f"stopped:{scenario.stop_rule}"
                 break
-    return Trace(
-        scenario=scenario,
-        digest=digest,
-        initial=scenario.initial,
-        records=tuple(records),
-        status=status,
-    )
+    return Trace(scenario, tuple(records), status)
 
 
 @dataclass(frozen=True)
@@ -442,13 +438,9 @@ def replay(trace: Trace) -> ReplayVerdict:
     """Re-execute the embedded scenario and compare every record field
     (configuration, activation set, ``t``, coins, targets) instant by
     instant, then the length and final status. Positions and targets are
-    compared bit for bit, so a changed sign of a zero diverges. Refuses to
-    run on a digest mismatch."""
-    if trace.digest != scenario_digest(trace.scenario):
-        raise DigestMismatchError("trace digest does not match its embedded scenario")
+    compared bit for bit, so a changed sign of a zero diverges. Both runs
+    start from the scenario's initial configuration."""
     fresh = run(trace.scenario)
-    if fresh.initial != trace.initial or _signs_differ(fresh.initial, trace.initial):
-        return ReplayVerdict(False, 0, "initial configuration differs")
     for j, (a, b) in enumerate(zip(trace.records, fresh.records)):
         for field, name, points in _REPLAYED_FIELDS:
             x, y = getattr(a, field), getattr(b, field)
@@ -476,10 +468,22 @@ def _pairs(points, before: dict, now: dict) -> str:
     return "[" + ",".join(texts) + "]"
 
 
+def trace_header(scenario: Scenario) -> dict:
+    """The header of every trace of ``scenario``."""
+    return {
+        "format": TRACE_FORMAT,
+        "version": TRACE_VERSION,
+        "digest": scenario_digest(scenario),
+        "seed": scenario.seed,
+        "n": scenario.n,
+        "scenario": scenario_to_dict(scenario),
+    }
+
+
 def write_trace(trace: Trace, path) -> None:
-    """Line-delimited trace: a JSON header (format, version, digest, seed,
-    n, embedded scenario), one JSON record per instant with floats rendered
-    to 17 significant digits, and a status trailer.
+    """Line-delimited trace: the JSON :func:`trace_header`, one JSON
+    record per instant with floats rendered to 17 significant digits, and
+    a status trailer.
 
     Each position or target is rendered the first time its ``Point``
     object is met. A record that holds an object of the record before (a
@@ -490,14 +494,7 @@ def write_trace(trace: Trace, path) -> None:
     written. Only the last two records' texts are kept, and each line is
     written as it is made."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "format": TRACE_FORMAT,
-            "version": TRACE_VERSION,
-            "digest": trace.digest,
-            "seed": trace.scenario.seed,
-            "n": trace.n,
-            "scenario": scenario_to_dict(trace.scenario),
-        }
+        header = trace_header(trace.scenario)
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         before: dict[int, str] = {}
         for rec in trace.records:
@@ -582,6 +579,11 @@ def load_trace(path) -> Trace:
     its trailer and each record (see README, Trace format); a malformed
     file raises :class:`TraceFormatError`, and one in a record names it.
 
+    The header must be the :func:`trace_header` of its embedded scenario,
+    compared as JSON text (``true``, ``1`` and ``1.0`` differ): a differing
+    digest raises :class:`DigestMismatchError`, any other key a
+    TraceFormatError that names it.
+
     Every coordinate keeps its bits, the sign of a zero included: a
     record's ``-0`` loads as ``-0.0``. A robot whose position pair repeats
     its pair in the record before, with no zero coordinate, keeps that
@@ -606,13 +608,22 @@ def load_trace(path) -> Trace:
         scenario = scenario_from_dict(header["scenario"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceFormatError(f"bad embedded scenario: {exc}") from exc
+    got, want = (
+        {k: json.dumps(v, sort_keys=True) for k, v in h.items()}
+        for h in (header, trace_header(scenario))
+    )
+    if got["digest"] != want["digest"]:
+        raise DigestMismatchError("trace digest does not match its embedded scenario")
+    for key in sorted(got.keys() | want.keys()):
+        if got.get(key) != want.get(key):
+            raise TraceFormatError(f"bad header: {key!r} does not match the embedded scenario")
     try:
         trailer = json.loads(lines[-1])
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"bad trailer: {exc}") from exc
     if not isinstance(trailer, dict) or "status" not in trailer:
         raise TraceFormatError("truncated trace: missing status trailer")
-    n = len(scenario.initial)
+    n = scenario.n
     records = []
     pairs: list = []
     config: Configuration = ()
@@ -632,10 +643,4 @@ def load_trace(path) -> Trace:
         if any(not 0 <= i < n for i in rec.active):
             raise TraceFormatError(f"record {k}: active ordinal out of range 0..{n - 1}")
         records.append(rec)
-    return Trace(
-        scenario=scenario,
-        digest=str(header["digest"]),
-        initial=scenario.initial,
-        records=tuple(records),
-        status=str(trailer["status"]),
-    )
+    return Trace(scenario, tuple(records), str(trailer["status"]))

@@ -36,7 +36,7 @@ class NotDeterministicError(ScatterSimError):
 
 
 class DigestMismatchError(ScatterSimError):
-    """Stored digest does not match the embedded scenario."""
+    """A trace header's digest is not that of its embedded scenario (load_trace)."""
 
 
 class TraceFormatError(ScatterSimError, ValueError):

@@ -63,7 +63,6 @@ from .world import (
     IDENTITY_FRAME,
     LocalFrame,
     Robot,
-    as_configuration,
     random_frame,
 )
 
@@ -104,8 +103,7 @@ class Scenario:
         for i, r in enumerate(self.robots):
             if r.index != i:
                 raise ScenarioValidationError("robots: ordinals must be 0..n-1 in order")
-        # A bool is an int, but a trace would store it as true/false and
-        # load it back as 1/0, so its replay would fail the digest check.
+        # A bool is an int, but neither a step count nor a seed.
         if not _is_int(self.max_steps) or self.max_steps < 1:
             raise ScenarioValidationError("max_steps: must be a positive integer", "max_steps")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
@@ -153,35 +151,27 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    """The exact inverse of :func:`scenario_to_dict`: arrays become points
+    and tuples, other values are kept as they are, non-finite positions refused."""
     robots = tuple(
-        Robot(
-            index=i,
-            sigma=float(r["sigma"]),
-            frame=LocalFrame(
-                origin=Point(float(r["frame"]["origin"][0]), float(r["frame"]["origin"][1])),
-                rotation=float(r["frame"]["rotation"]),
-                reflect=bool(r["frame"]["reflect"]),
-                unit=float(r["frame"]["unit"]),
-            ),
-        )
+        Robot(i, r["sigma"], LocalFrame(**dict(r["frame"], origin=Point(*r["frame"]["origin"]))))
         for i, r in enumerate(d["robots"])
     )
-    pat = d["protocol"]["pattern"]
+    initial = tuple(Point(x, y) for x, y in d["initial"])
+    for p in initial:
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise ScenarioValidationError(f"non-finite position {p}", "robots.positions")
+    pattern = d["protocol"]["pattern"]
+    if pattern is not None:
+        pattern = tuple(Point(x, y) for x, y in pattern)
     return Scenario(
         robots=robots,
-        initial=as_configuration(d["initial"]),
-        caps=Capabilities(
-            multiplicity_detection=bool(d["capabilities"]["multiplicity_detection"]),
-            localization_knowledge=bool(d["capabilities"]["localization_knowledge"]),
-        ),
-        scheduler=SchedulerSpec(d["scheduler"]["kind"], d["scheduler"]["param"]),
-        protocol=ProtocolSpec(
-            kind=d["protocol"]["kind"],
-            pattern=None if pat is None else tuple(Point(float(x), float(y)) for x, y in pat),
-            rule=d["protocol"]["rule"],
-        ),
-        seed=int(d["seed"]),
-        max_steps=int(d["max_steps"]),
+        initial=initial,
+        caps=Capabilities(**d["capabilities"]),
+        scheduler=SchedulerSpec(**d["scheduler"]),
+        protocol=ProtocolSpec(**dict(d["protocol"], pattern=pattern)),
+        seed=d["seed"],
+        max_steps=d["max_steps"],
         stop_rule=d["stop_rule"],
     )
 
@@ -320,7 +310,8 @@ def parse_scenario_text(text: str) -> Scenario:
     p, window = sch["p"], sch["window"]
     if p is not None and window is not None:
         raise ScenarioParseError(found["scheduler.window"][0], "give either p or window, not both")
-    if robots["frames"] == "identity":
+    # Frames are drawn from a valid seed only; validation refuses any other.
+    if robots["frames"] == "identity" or not 0 <= top["seed"] < 2**64:
         frames = [IDENTITY_FRAME] * count
     else:
         frame_rng = np.random.default_rng([top["seed"], _FRAME_STREAM])

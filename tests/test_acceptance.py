@@ -57,6 +57,15 @@ def test_criterion_3_pair_separation_rate():
     report("C3", timed(30.0, campaigns.separation_rate, full, 0.75, 100_000, 303))
 
 
+def test_criterion_3_verify_separation_at_its_smallest_count():
+    # The passing path of ``verify separation``: both headline rates and
+    # the 3/4 persistence bound under all four schedulers, at the smallest
+    # count its rate gates accept and the suite's default seed.
+    checks = campaigns.separation(27_069, 2024)
+    assert len(checks) == 6
+    report("C3", checks)
+
+
 def test_criterion_4_decay_bound():
     report("C4", campaigns.decay(100_000, 404))
 

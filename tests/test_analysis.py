@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,13 +40,7 @@ def synthetic_trace(configs, scenario):
         StepRecord(t, (0,), ((1,),), (config[0],), config)
         for t, config in enumerate(configs[1:])
     )
-    return Trace(
-        scenario=scenario,
-        digest="synthetic",
-        initial=configs[0],
-        records=records,
-        status="budget_exhausted",
-    )
+    return Trace(replace(scenario, initial=configs[0]), records, "budget_exhausted")
 
 
 def test_closure_passes_on_distinct_trace():

@@ -101,6 +101,39 @@ def test_replay_identical_and_corrupted(scenario_file, tmp_path, capsys):
     assert "divergence at instant 3" in capsys.readouterr().out
 
 
+# Each edit of the 9-instant demo trace, and the instant after the shorter
+# record list, where replay reports the divergence.
+SHORT_OR_RESTATED = {
+    "last record removed": (lambda lines: lines.pop(-2), 9),
+    "status edited": (lambda lines: lines.__setitem__(-1, '{"status": "stopped:gathered"}'), 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_OR_RESTATED))
+def test_replay_diverges_on_trace_length_or_status(case, scenario_file, tmp_path, capsys):
+    edit, instant = SHORT_OR_RESTATED[case]
+    out = tmp_path / "demo.trace"
+    main(["run", str(scenario_file), "--out", str(out)])
+    lines = out.read_text().splitlines()
+    edit(lines)
+    out.write_text("\n".join(lines) + "\n")
+    message = "trace length or final status differs"
+    assert engine.replay(load_trace(out)) == engine.ReplayVerdict(False, instant, message)
+    capsys.readouterr()
+    assert main(["replay", str(out)]) == 1
+    assert capsys.readouterr().out == f"divergence at instant {instant}: {message}\n"
+
+
+def test_run_writes_to_the_output_folder_by_default(scenario_file, tmp_path, monkeypatch, capsys):
+    folder = tmp_path / "out"
+    folder.mkdir()
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(folder))
+    assert main(["run", str(scenario_file)]) == 0
+    out = folder / "demo.trace"
+    assert capsys.readouterr().out.endswith(f" trace={out}\n")
+    assert len(load_trace(out).records) == 9
+
+
 def test_replay_refuses_tampered_scenario(scenario_file, tmp_path, capsys):
     out = tmp_path / "demo.trace"
     main(["run", str(scenario_file), "--out", str(out)])

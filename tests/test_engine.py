@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from scattersim import (
     IDENTITY_FRAME,
     Capabilities,
+    LocalFrame,
     Point,
     ProtocolSpec,
+    ReplayVerdict,
     Robot,
     Scenario,
     SchedulerSpec,
@@ -25,13 +27,15 @@ from scattersim import (
     replay,
     run,
     scenario_digest,
+    scenario_from_dict,
+    scenario_to_dict,
     step,
     to_global,
     to_local,
     write_trace,
 )
 import scattersim.engine as engine_module
-from scattersim.engine import StepRecord, Trace
+from scattersim.engine import StepRecord
 from scattersim.errors import (
     ContractViolationError,
     ScatterSimError,
@@ -251,13 +255,33 @@ def test_trace_roundtrip_and_replay(tmp_path):
     path = tmp_path / "t.trace"
     write_trace(trace, path)
     loaded = load_trace(path)
-    assert loaded.digest == trace.digest
-    assert loaded.initial == trace.initial
+    assert loaded.scenario == trace.scenario
     assert loaded.records == trace.records
     assert loaded.status == trace.status
     verdict = replay(loaded)
     assert verdict.passed
     assert verdict.message == "identical"
+
+
+def test_a_scenario_built_with_ints_replays_from_its_file(tmp_path):
+    """scenario_from_dict keeps every value as it is, so a Scenario built
+    in code with ints has its own digest after write and load, and its
+    trace replays identical (int sigma, frame unit and rotation, points)."""
+    frame = LocalFrame(origin=Point(1, -2), rotation=1, unit=2)
+    scenario = Scenario(
+        robots=(Robot(0, 1), Robot(1, 2, frame), Robot(2, 1)),
+        initial=(Point(0, 0), Point(0, 0), Point(3, 1)),
+        caps=Capabilities(),
+        scheduler=SchedulerSpec("round_robin"),
+        protocol=ProtocolSpec("scatter"),
+        seed=1,
+        max_steps=6,
+    )
+    path = tmp_path / "t.trace"
+    write_trace(run(scenario), path)
+    assert replay(load_trace(path)) == ReplayVerdict(True, None, "identical")
+    rebuilt = scenario_from_dict(scenario_to_dict(scenario))
+    assert scenario_digest(rebuilt) == scenario_digest(scenario)
 
 
 def test_replay_detects_perturbed_position():
@@ -270,14 +294,7 @@ def test_replay_detects_perturbed_position():
     )
     bad_records = list(trace.records)
     bad_records[k] = StepRecord(rec.t, rec.active, rec.coins, rec.targets, bad_config)
-    tampered = Trace(
-        scenario=trace.scenario,
-        digest=trace.digest,
-        initial=trace.initial,
-        records=tuple(bad_records),
-        status=trace.status,
-    )
-    verdict = replay(tampered)
+    verdict = replay(replace(trace, records=tuple(bad_records)))
     assert not verdict.passed
     assert verdict.first_divergence == k + 1
 
@@ -386,6 +403,12 @@ JSON_ERROR = "Expecting property name enclosed in double quotes: line 1 column 2
 NO_DIGEST = "bad header: not an object with a digest"
 UNRECOGNIZED = "unrecognized trace format or version"
 TRUNCATED = "truncated trace: missing status trailer"
+DIGEST = "trace digest does not match its embedded scenario"
+
+
+def _differs(key):
+    return f"bad header: {key!r} does not match the embedded scenario"
+
 
 BAD_ENDS = {
     "empty": (lambda lines: lines.clear(), "empty trace file"),
@@ -402,13 +425,25 @@ BAD_ENDS = {
     "trailer json": (lambda lines: lines.__setitem__(-1, "{"), f"bad trailer: {JSON_ERROR}"),
     "trailer missing": (lambda lines: lines.pop(), TRUNCATED),
     "trailer number": (lambda lines: lines.__setitem__(-1, "5"), TRUNCATED),
+    # The rows below each loaded once: the header's seed and n went
+    # unread, and the embedded scenario was coerced by int() and bool().
+    "digest": (_header(lambda h: h.__setitem__("digest", "0" * 64)), DIGEST),
+    "header seed": (_header(lambda h: h.__setitem__("seed", 12345)), _differs("seed")),
+    "header n": (_header(lambda h: h.__setitem__("n", 99)), _differs("n")),
+    "version true": (_header(lambda h: h.__setitem__("version", True)), _differs("version")),
+    "extra key": (_header(lambda h: h.__setitem__("extra", 0)), _differs("extra")),
+    "embedded seed true": (_header(lambda h: h["scenario"].__setitem__("seed", True)), DIGEST),
+    "embedded reflect 0": (
+        _header(lambda h: h["scenario"]["robots"][0]["frame"].__setitem__("reflect", 0)),
+        DIGEST,
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ENDS))
 def test_load_trace_rejects_a_bad_header_or_trailer(case, tmp_path):
     edit, message = BAD_ENDS[case]
-    with pytest.raises(TraceFormatError) as err:
+    with pytest.raises(DigestMismatchError if message == DIGEST else TraceFormatError) as err:
         load_trace(_written(tmp_path, edit))
     assert str(err.value) == message
 
@@ -421,21 +456,6 @@ def test_load_trace_rejects_a_file_that_is_not_utf8(tmp_path):
     assert str(err.value) == (
         "not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
     )
-
-
-def test_replay_refuses_digest_mismatch():
-    scenario = make_scenario([(0, 0), (1, 1)], seed=3, max_steps=10)
-    trace = run(scenario)
-    other = replace(scenario, seed=4)
-    forged = Trace(
-        scenario=other,
-        digest=trace.digest,
-        initial=trace.initial,
-        records=trace.records,
-        status=trace.status,
-    )
-    with pytest.raises(DigestMismatchError):
-        replay(forged)
 
 
 def test_replay_roundtrip_many_random_scenarios(tmp_path, rng):

@@ -336,6 +336,19 @@ def test_one_fault_is_reported_by_class_message_line_and_field(edits, cls, messa
     assert _reported(err.value) == (cls, message, line, field)
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("frames", ["identity", "seeded-random"])
+def test_a_bad_seed_is_reported_alike_under_either_frame_kind(seed, frames):
+    # Random frames are drawn from the seed; a negative one once crashed
+    # numpy's generator before validation could refuse it.
+    text = _edited([("seed = 42", f"seed = {seed}"), ("frames = identity", f"frames = {frames}")])
+    with pytest.raises(ScatterSimError) as err:
+        parse_scenario_text(text)
+    assert _reported(err.value) == (
+        ScenarioValidationError, "line 3: seed: must be an unsigned 64-bit integer", None, "seed"
+    )
+
+
 def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.scn"
     path.write_bytes(b"\xff" + VALID.encode())

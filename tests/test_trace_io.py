@@ -47,7 +47,7 @@ def reference_trace_text(trace):
     header = {
         "format": TRACE_FORMAT,
         "version": TRACE_VERSION,
-        "digest": trace.digest,
+        "digest": scenario_digest(trace.scenario),
         "seed": trace.scenario.seed,
         "n": trace.n,
         "scenario": scenario_to_dict(trace.scenario),
@@ -154,13 +154,7 @@ def traces(draw):
                 targets.append(fresh())
         config = tuple(new)
         records.append(StepRecord(t, active, coins, tuple(targets), config))
-    return Trace(
-        scenario=scenario,
-        digest=scenario_digest(scenario),
-        initial=scenario.initial,
-        records=tuple(records),
-        status="budget_exhausted",
-    )
+    return Trace(scenario, tuple(records), "budget_exhausted")
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,7 +204,7 @@ def test_load_takes_the_sign_of_a_zero_that_alone_changes(tmp_path):
     records = tuple(
         StepRecord(t, (0, 1), ((), ()), config, config) for t, config in enumerate(configs)
     )
-    trace = Trace(scenario, scenario_digest(scenario), scenario.initial, records, "budget_exhausted")
+    trace = Trace(scenario, records, "budget_exhausted")
     loaded = check_roundtrip(trace, tmp_path)
     assert [bits(rec.config) for rec in loaded.records] == [bits(c) for c in configs]
 
@@ -259,15 +253,14 @@ def _flip_zero(points, i):
 def test_replay_diverges_on_any_changed_sign_of_a_zero():
     """Robots that walk onto the lex-min point (-0, 0) stay there; every
     position or target with a zero coordinate, its sign flipped, diverges
-    at its own instant, and the initial configuration at instant 0."""
+    at its own instant. (The initial configuration is the scenario's, so
+    replay has none to compare.)"""
     scenario = make_scenario(
         [(-0.0, 0.0), (0.5, 0.0), (0.0, 0.5)], protocol="deterministic_rule", rule="lex_min",
         scheduler=("round_robin", None), max_steps=6,
     )
     trace = run(scenario)
     assert replay(trace).passed
-    flipped = replace(trace, initial=_flip_zero(trace.initial, 1))
-    assert replay(flipped) == ReplayVerdict(False, 0, "initial configuration differs")
     cases = 0
     for k, rec in enumerate(trace.records):
         for field, name in (("config", "configuration"), ("targets", "target record")):
