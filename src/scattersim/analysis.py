@@ -193,6 +193,9 @@ def impossibility_demo(
         raise ScenarioValidationError("robots: the demonstration needs n >= 2")
     robots = tuple(Robot(i, 1.0) for i in range(n))
     caps = Capabilities()
+    # One Point object per robot: the engine reuses a coin-free decision
+    # only among robots on one object, so every robot's rule runs at least
+    # in the first instant and the check is not true by construction.
     config = tuple(Point(0.0, 0.0) for _ in range(n))
     g = np.random.default_rng(seed)
     src = RecordingSource(g)

@@ -11,6 +11,17 @@ instant builds that view once and hands each such robot a copy that
 differs only in its own position; robots with a private frame get a view
 of their own.
 
+Co-located identity-frame robots decide once. Two such robots on the same
+position object see the same view, and a rule is pure and draws only
+through its source (the :class:`Protocol` contract), so a decision that
+drew nothing is a function of the view and sigma alone. An instant keeps
+the target of each such decision under (id of the position object,
+sigma); a later active robot on that object with that sigma takes it with
+no coins, and no view is built and no rule called for it. Keys are object
+identities, never point equality, so ``(0.0, y)`` and ``(-0.0, y)`` never
+share a decision and no bit of a target can change. A decision that drew
+(every scatter coin) and a private frame's decision are never reused.
+
 Randomness discipline: one root generator seeded from the scenario. Per
 instant the scheduler draws first, then active robots consume draws in
 ascending ordinal order (each robot: its coin, then any sampling draws).
@@ -44,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -309,28 +321,38 @@ def _advance(
     targets_by = {}
     moved = 0
     shared = None  # the one view that every identity-frame robot observes
+    # (id of a position object, sigma) -> target of an identity-frame
+    # decision that drew nothing; the config keeps every key's object alive.
+    settled = {}
     for i in active:
         try:
             robot = robots[i]
             frame = IDENTITY_FRAME if caps.localization_knowledge else robot.frame
             identity = frame.is_identity
-            if not identity:
-                view = build_view(config, robot, caps)
-            elif shared is None:
-                view = shared = build_view(config, robot, caps)
+            target = settled.get((id(config[i]), robot.sigma)) if settled and identity else None
+            if target is not None:  # the same view and sigma: the same decision, no draw
+                coins_by[i] = ()
             else:
-                view = shared.seen_from(as_point(config[robot.index]))
-            src.begin_robot()
-            local_target = protocol.decide(view, caps, robot.sigma, src)
-            coins_by[i] = src.coins()
-            if identity:  # the identity frame's to_global would only copy the point
-                target = as_point(local_target)
-            elif local_target == view.self_pos:  # a stay stays, bit for bit
-                target = config[i]
-            else:  # a jump onto an observed robot lands exactly on it
-                target = view.global_point(local_target)
-                if target is None:
-                    target = to_global(frame, local_target)
+                if not identity:
+                    view = build_view(config, robot, caps)
+                elif shared is None:
+                    view = shared = build_view(config, robot, caps)
+                else:
+                    view = shared.seen_from(as_point(config[robot.index]))
+                src.begin_robot()
+                draws = src.total_draws
+                local_target = protocol.decide(view, caps, robot.sigma, src)
+                coins_by[i] = src.coins()
+                if identity:  # the identity frame's to_global would only copy the point
+                    target = as_point(local_target)
+                    if src.total_draws == draws:
+                        settled[id(config[i]), robot.sigma] = target
+                elif local_target == view.self_pos:  # a stay stays, bit for bit
+                    target = config[i]
+                else:  # a jump onto an observed robot lands exactly on it
+                    target = view.global_point(local_target)
+                    if target is None:
+                        target = to_global(frame, local_target)
             targets_by[i] = target
             cur = config[i]
             if target == cur:  # a stay: the target is the new position as it is
@@ -521,6 +543,9 @@ def _json_int(text: str):
 
 
 _RECORD_DECODER = json.JSONDecoder(parse_int=_json_int)
+# The JSON integer token -0, a -0 that no digit, fraction or exponent
+# follows; a record line without one needs no hook.
+_MINUS_ZERO = re.compile(r"-0(?![.\deE])")
 
 
 def _positions(pairs: list, before_pairs: list, before: Configuration) -> Configuration:
@@ -582,13 +607,16 @@ def load_trace(path) -> Trace:
     The header must be the :func:`trace_header` of its embedded scenario,
     compared as JSON text (``true``, ``1`` and ``1.0`` differ): a differing
     digest raises :class:`DigestMismatchError`, any other key a
-    TraceFormatError that names it.
+    TraceFormatError that names it. The embedded scenario must then pass
+    :meth:`Scenario.validate`, as :func:`run` requires; else its
+    :class:`ScenarioValidationError` is raised as it is.
 
     Every coordinate keeps its bits, the sign of a zero included: a
-    record's ``-0`` loads as ``-0.0``. A robot whose position pair repeats
-    its pair in the record before, with no zero coordinate, keeps that
-    record's ``Point`` object, as the records of :func:`run` do; every
-    other pair is parsed into a new ``Point``."""
+    record's ``-0`` loads as ``-0.0``; a line without that token is decoded
+    with no hook. A robot whose position pair repeats its pair in the
+    record before, with no zero coordinate, keeps that record's ``Point``
+    object, as the records of :func:`run` do; every other pair is parsed
+    into a new ``Point``."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
@@ -617,6 +645,7 @@ def load_trace(path) -> Trace:
     for key in sorted(got.keys() | want.keys()):
         if got.get(key) != want.get(key):
             raise TraceFormatError(f"bad header: {key!r} does not match the embedded scenario")
+    scenario.validate()
     try:
         trailer = json.loads(lines[-1])
     except json.JSONDecodeError as exc:
@@ -629,7 +658,7 @@ def load_trace(path) -> Trace:
     config: Configuration = ()
     for k, ln in enumerate(lines[1:-1]):
         try:
-            obj = _RECORD_DECODER.decode(ln)
+            obj = _RECORD_DECODER.decode(ln) if _MINUS_ZERO.search(ln) else json.loads(ln)
             rec = _record(obj, pairs, config)
         except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             raise TraceFormatError(f"record {k}: bad record line: {exc}") from exc

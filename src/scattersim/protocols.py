@@ -174,7 +174,14 @@ def deterministic_rule_step(view: View, rule: str = "unit_x") -> Point:
 
 
 class Protocol:
-    """A decision rule; ``decide`` must be pure given its arguments."""
+    """A decision rule.
+
+    ``decide`` must be pure given its arguments and draw randomness only
+    through ``rng``. The engine relies on it: a decision that drew nothing
+    may be reused, within the instant, for every co-located robot that
+    observes through the identity frame with the same sigma, and its rule
+    is not called for them.
+    """
 
     kind = "?"
 

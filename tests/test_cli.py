@@ -337,9 +337,10 @@ def test_run_checks_its_output_before_simulating(tmp_path, scenario_file, capsys
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_replay_rejects_an_infinite_window_in_the_header(tmp_path, capsys):
-    # JSON allows Infinity, so a trace header can carry a window no
-    # scenario file could; replay reports it like any invalid scenario.
+def _infinite_window_trace(tmp_path):
+    """A trace whose header carries a ``bounded_delay`` window of Infinity,
+    its digest recomputed. JSON allows Infinity, so a header can carry a
+    window no scenario file could."""
     from scattersim.engine import scenario_digest, scenario_from_dict
 
     scn = tmp_path / "bd.scn"
@@ -354,9 +355,27 @@ def test_replay_rejects_an_infinite_window_in_the_header(tmp_path, capsys):
     assert "Infinity" in lines[0]
     forged = tmp_path / "inf.trace"
     forged.write_text("\n".join(lines) + "\n")
+    return forged
+
+
+INFINITE_WINDOW = "error: bounded_delay scheduler needs an integer window >= 1\n"
+
+
+def test_replay_rejects_an_infinite_window_in_the_header(tmp_path, capsys):
+    # replay reports it like any invalid scenario.
+    forged = _infinite_window_trace(tmp_path)
     capsys.readouterr()
     assert main(["replay", str(forged)]) == 2
-    assert "bounded_delay scheduler needs an integer window >= 1" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", INFINITE_WINDOW)
+
+
+def test_export_rejects_an_infinite_window_as_replay_does(tmp_path, capsys):
+    # Loading validates the embedded scenario, so export refuses the trace
+    # with replay's line; it once printed the summary row and exited 0.
+    forged = _infinite_window_trace(tmp_path)
+    capsys.readouterr()
+    assert main(["export", str(forged), "--format", "csv-summary"]) == 2
+    assert capsys.readouterr() == ("", INFINITE_WINDOW)
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from scattersim import (
     LocalFrame,
     Point,
     ProtocolSpec,
+    RecordingSource,
     ReplayVerdict,
     Robot,
     Scenario,
@@ -35,6 +37,7 @@ from scattersim import (
     write_trace,
 )
 import scattersim.engine as engine_module
+import scattersim.protocols as protocols_module
 from scattersim.engine import StepRecord
 from scattersim.errors import (
     ContractViolationError,
@@ -448,6 +451,22 @@ def test_load_trace_rejects_a_bad_header_or_trailer(case, tmp_path):
     assert str(err.value) == message
 
 
+def test_load_trace_validates_the_embedded_scenario(tmp_path):
+    """A scenario that builds but that no run takes (``max_steps`` 0), its
+    digest recomputed, is refused at load as ``run`` refuses it."""
+
+    def edit(header):
+        header["scenario"]["max_steps"] = 0
+        header["digest"] = scenario_digest(scenario_from_dict(header["scenario"]))
+
+    path = _written(tmp_path, _header(edit))
+    with pytest.raises(ScenarioValidationError) as err:
+        load_trace(path)
+    with pytest.raises(ScenarioValidationError) as ran:
+        run(scenario_from_dict(json.loads(path.read_text().splitlines()[0])["scenario"]))
+    assert (str(err.value), err.value.field) == (str(ran.value), ran.value.field)
+
+
 def test_load_trace_rejects_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "t.trace"
     path.write_bytes(b'{"format":"\xff"}\n')
@@ -766,3 +785,257 @@ def test_private_frames_stay_and_land_bit_for_bit(pool, picks, frame_seed, data)
     new, coins = advance(pair, ProtocolSpec("pair_gather").build(), 10.0)
     for i, coin in coins.items():
         assert _bits(new[i]) == _bits(pair[i] if coin == 1 else pair[1 - i])
+
+
+# Co-located identity-frame robots with one sigma decide once per instant
+# when the decision draws nothing (the Protocol contract makes that exact).
+
+
+class DecideSpy(Protocol):
+    """The protocol ``spec`` builds, counting its calls per (observer's
+    position object, sigma). An identity-frame view's ``self_pos`` is the
+    configuration's own Point."""
+
+    def __init__(self, spec):
+        self.protocol = spec.build()
+        self.calls = Counter()
+
+    def decide(self, view, caps, sigma, rng):
+        self.calls[id(view.self_pos), sigma] += 1
+        return self.protocol.decide(view, caps, sigma, rng)
+
+
+FULL_CAPS = Capabilities(multiplicity_detection=True, localization_knowledge=True)
+
+
+def _spied_instant(spec, config, robots, caps=FULL_CAPS, seed=0):
+    """Every robot active for one instant; the spy and ``_advance``'s result."""
+    spy = DecideSpy(spec)
+    src = RecordingSource(np.random.default_rng(seed))
+    result = engine_module._advance(config, frozenset(range(len(config))), robots, spy, caps, src)
+    return spy, result
+
+
+def _reference_advance(config, active, robots, protocol, caps, src):
+    """One instant robot by robot, with no decision reused: each active
+    robot gets its own view and its rule's own answer. Returns the
+    positions, coins and targets."""
+    positions, coins, targets = list(config), [], []
+    for i in active:
+        robot = robots[i]
+        frame = IDENTITY_FRAME if caps.localization_knowledge else robot.frame
+        view = build_view(config, robot, caps)
+        src.begin_robot()
+        local = protocol.decide(view, caps, robot.sigma, src)
+        coins.append(src.coins())
+        if frame.is_identity:
+            target = Point(local[0], local[1])
+        elif local == view.self_pos:
+            target = config[i]
+        else:
+            target = view.global_point(local)
+            if target is None:
+                target = to_global(frame, local)
+        targets.append(target)
+        cur = config[i]
+        d = distance(cur, target)
+        if target == cur or d <= robot.sigma:
+            positions[i] = target
+        else:
+            f = robot.sigma / d
+            positions[i] = Point(cur[0] + f * (target[0] - cur[0]), cur[1] + f * (target[1] - cur[1]))
+    return tuple(positions), tuple(coins), tuple(targets)
+
+
+_A, _B, _C = Point(0.5, 1.0), Point(-1.5, 2.0), Point(3.0, -0.5)
+# One crowded position (four robots on _A's coordinates, three of them on
+# _A itself, one on an equal copy), _B and _C alone.
+_STACKED = (_A, _A, _B, _A, _C, Point(0.5, 1.0))
+_COIN_FREE = [ProtocolSpec("deterministic_rule", rule=name) for name in DETERMINISTIC_RULES] + [
+    ProtocolSpec("reference_gather")
+]
+
+
+@pytest.mark.parametrize("spec", _COIN_FREE, ids=lambda spec: spec.rule or spec.kind)
+def test_coin_free_rules_decide_once_per_position_object_and_sigma(spec):
+    # Robot 3 shares _A with robots 0 and 1 but not their sigma.
+    robots = tuple(Robot(i, 2.0 if i == 3 else 1.0) for i in range(len(_STACKED)))
+    spy, (new, _, _, coins, targets) = _spied_instant(spec, _STACKED, robots)
+    keys = {(id(p), r.sigma) for p, r in zip(_STACKED, robots)}
+    assert len(keys) == 5
+    assert spy.calls == Counter(dict.fromkeys(keys, 1))
+    assert coins == ((),) * len(_STACKED)
+    src = RecordingSource(np.random.default_rng(0))
+    ref = _reference_advance(_STACKED, range(len(_STACKED)), robots, spec.build(), FULL_CAPS, src)
+    assert ([_bits(p) for p in new], [_bits(p) for p in targets]) == (
+        [_bits(p) for p in ref[0]],
+        [_bits(p) for p in ref[2]],
+    )
+
+
+def test_a_gathered_stabilized_gather_decides_once_per_position_object():
+    config = (_A,) * 4 + (Point(*_A),)
+    robots = tuple(Robot(i, 1.0) for i in range(len(config)))
+    spy, (new, _, _, coins, _) = _spied_instant(ProtocolSpec("stabilized_gather"), config, robots)
+    assert spy.calls == Counter({(id(_A), 1.0): 1, (id(config[-1]), 1.0): 1})
+    assert new == config and coins == ((),) * len(config)
+
+
+@pytest.mark.parametrize("kind, n", [("scatter", 4), ("pair_gather", 2)])
+def test_rules_that_draw_decide_for_every_active_robot(kind, n):
+    config = (_A,) * n
+    robots = tuple(Robot(i, 1.0) for i in range(n))
+    spy, (_, _, _, coins, _) = _spied_instant(ProtocolSpec(kind), config, robots, Capabilities())
+    assert spy.calls == Counter({(id(_A), 1.0): n})
+    assert all(len(c) == 1 for c in coins)
+
+
+def test_co_located_robots_with_another_sigma_decide_apart():
+    config = (_A,) * 4
+    robots = tuple(Robot(i, (1.0, 0.25)[i % 2]) for i in range(4))
+    spy, (new, _, _, _, targets) = _spied_instant(
+        ProtocolSpec("deterministic_rule", rule="unit_x"), config, robots
+    )
+    assert spy.calls == Counter({(id(_A), 1.0): 1, (id(_A), 0.25): 1})
+    assert targets == (Point(1.5, 1.0),) * 4
+    assert new == (Point(1.5, 1.0), Point(0.75, 1.0)) * 2
+
+
+def test_equal_positions_of_either_zero_sign_decide_apart_and_keep_it():
+    plus, minus = Point(0.0, 1.0), Point(-0.0, 1.0)
+    config = (plus, minus, plus, minus)
+    robots = tuple(Robot(i, 1.0) for i in range(4))
+    spy, (new, _, _, _, targets) = _spied_instant(
+        ProtocolSpec("deterministic_rule", rule="unit_y"), config, robots, Capabilities()
+    )
+    assert spy.calls == Counter({(id(plus), 1.0): 1, (id(minus), 1.0): 1})
+    signs = [math.copysign(1.0, p.x) for p in new]
+    assert signs == [math.copysign(1.0, t.x) for t in targets] == [1.0, -1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("localization", [False, True])
+def test_private_frames_decide_apart_unless_localization_replaces_them(localization):
+    # Robot 0 observes through the identity frame and decides first.
+    frame_rng = np.random.default_rng(5)
+    robots = (Robot(0, 1.0),) + tuple(Robot(i, 1.0, random_frame(frame_rng)) for i in range(1, 4))
+    caps = Capabilities(localization_knowledge=localization)
+    spec = ProtocolSpec("deterministic_rule", rule="unit_x")
+    spy, (new, _, _, _, _) = _spied_instant(spec, (_A,) * 4, robots, caps)
+    assert sum(spy.calls.values()) == (1 if localization else 4)
+    src = RecordingSource(np.random.default_rng(0))
+    ref, _, _ = _reference_advance((_A,) * 4, range(4), robots, spec.build(), caps, src)
+    assert [_bits(p) for p in new] == [_bits(p) for p in ref]
+
+
+_REUSE_SPECS = [ProtocolSpec(kind) for kind in ("scatter", "pair_gather", "stabilized_gather")] + _COIN_FREE
+_FOUR_SCHEDULERS = [
+    ("full_synchronous", None),
+    ("round_robin", None),
+    ("bernoulli", 0.5),
+    ("bounded_delay", 3),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=3, unique=True),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from(["same", "same", "copy", "flip"]),
+            st.sampled_from([1.0, 1.0, 0.5]),
+        ),
+        min_size=3,
+        max_size=6,
+    ),
+    spec=st.sampled_from(_REUSE_SPECS),
+    scheduler=st.sampled_from(_FOUR_SCHEDULERS),
+    private=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reused_decisions_match_a_per_robot_loop_bit_for_bit(pool, picks, spec, scheduler, private, seed):
+    """Stacked starts: a robot stands on a pool Point itself, on an equal
+    copy, or on a copy with its zeros' signs flipped. Over four instants,
+    ``_advance`` and the per-robot reference give the same positions,
+    coins and targets bit for bit and leave the generator in one state."""
+    objects = [Point(*p) for p in pool]
+
+    def place(k, how):
+        p = objects[k % len(objects)]
+        if how == "same":
+            return p
+        if how == "copy":
+            return Point(p.x, p.y)
+        return Point(-p.x if p.x == 0 else p.x, -p.y if p.y == 0 else p.y)
+
+    if spec.kind == "pair_gather":
+        picks = picks[:2]
+    config = tuple(place(k, how) for k, how, _ in picks)
+    n = len(config)
+    if spec.kind in ("reference_gather", "stabilized_gather"):  # they need a shared frame
+        caps, private = FULL_CAPS, False
+    else:
+        caps = Capabilities(multiplicity_detection=True)
+    # Under private frames, every other robot keeps the identity frame.
+    frame_rng = np.random.default_rng(seed)
+    robots = tuple(
+        Robot(i, sigma, random_frame(frame_rng) if private and i % 2 else IDENTITY_FRAME)
+        for i, (_, _, sigma) in enumerate(picks)
+    )
+    protocol = spec.build()
+    g, g_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    src, src_ref = RecordingSource(g), RecordingSource(g_ref)
+    sched, sched_ref = SchedulerSpec(*scheduler).build(), SchedulerSpec(*scheduler).build()
+    new = ref = config
+    for _ in range(4):
+        activation = sched.next_activation(n, g)
+        assert sched_ref.next_activation(n, g_ref) == activation
+        try:
+            ref, ref_coins, ref_targets = _reference_advance(
+                ref, sorted(activation), robots, protocol, caps, src_ref
+            )
+        except ScatterSimError as exc:  # e.g. two crowded positions for reference_gather
+            with pytest.raises(type(exc)):
+                engine_module._advance(new, activation, robots, protocol, caps, src)
+            return
+        new, _, _, coins, targets = engine_module._advance(new, activation, robots, protocol, caps, src)
+        assert coins == ref_coins
+        assert [_bits(p) for p in targets] == [_bits(p) for p in ref_targets]
+        assert [_bits(p) for p in new] == [_bits(p) for p in ref]
+        assert g.bit_generator.state == g_ref.bit_generator.state
+
+
+def test_a_roundtrip_shaped_run_decides_a_pinned_number_of_times(monkeypatch):
+    """24 robots from a corrupted start (a triple and three stacked pairs),
+    sigma 10, ``bounded_delay`` 4, ``stabilized_gather``: they gather within
+    about 40 instants and then walk onto or stay at one Point object, so
+    the robots the scheduler activates together share one decision. Every
+    activation decided when no decision was reused; a count near that
+    again means the reuse is gone."""
+    rng = np.random.default_rng(2024)
+    pts = [tuple(p) for p in rng.uniform(-4.0, 4.0, size=(19, 2))]
+    positions = [pts[0]] * 3 + [p for p in pts[1:4] for _ in range(2)] + pts[4:]
+    scenario = make_scenario(
+        positions,
+        protocol="stabilized_gather",
+        scheduler=("bounded_delay", 4),
+        sigma=10.0,
+        seed=18,
+        max_steps=200,
+        multiplicity=True,
+        localization=True,
+    )
+    calls = 0
+    decide = protocols_module.stabilized_gather_step
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return decide(*args)
+
+    monkeypatch.setattr(protocols_module, "stabilized_gather_step", counted)
+    trace = run(scenario)
+    final = trace.records[-1].config
+    assert all(p == final[0] for p in final)
+    activations = sum(len(rec.active) for rec in trace.records)
+    assert (calls, activations) == (578, 2575)

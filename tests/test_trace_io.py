@@ -273,3 +273,31 @@ def test_replay_diverges_on_any_changed_sign_of_a_zero():
                     assert verdict == ReplayVerdict(False, k + 1, message)
                     cases += 1
     assert cases >= 6 * 3
+
+
+@pytest.mark.parametrize(
+    "config, token",
+    [
+        ((Point(-0.0, 1.5), Point(2.5, 1.0)), '"positions":[[-0,'),  # first coordinate of its row
+        ((Point(1.5, 2.5), Point(1.0, -0.0)), ",-0]]}"),  # last coordinate of its row
+        ((Point(1e-05, -0.5), Point(-1e-05, -0.25)), None),  # "-0" only before digits
+    ],
+    ids=["first", "last", "none"],
+)
+def test_a_minus_zero_loads_as_minus_zero_wherever_it_stands(config, token, tmp_path):
+    """A record line is decoded with no hook unless it holds the integer
+    token -0; one that does keeps the sign, spaced out by hand too."""
+    trace = Trace(
+        make_scenario(list(config), max_steps=10),
+        (StepRecord(0, (0, 1), ((), ()), config, config),),
+        "budget_exhausted",
+    )
+    check_roundtrip(trace, tmp_path)
+    path = tmp_path / "t.trace"
+    line = path.read_text(encoding="utf-8").splitlines()[1]
+    if token is None:
+        assert "-0" in line and ("-0," not in line and "-0]" not in line)
+        return
+    assert token in line
+    path.write_text(path.read_text(encoding="utf-8").replace("-0,", "-0 ,").replace("-0]", "-0 ]"))
+    assert bits(load_trace(path).records[0].config) == bits(config)
