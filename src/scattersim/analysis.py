@@ -23,7 +23,7 @@ from .errors import NotDeterministicError, ScenarioValidationError
 from .geometry import Point
 from .protocols import Protocol, ProtocolSpec
 from .scheduler import SchedulerSpec
-from .world import Capabilities, Robot, all_distinct, multiplicity_points
+from .world import Capabilities, Robot, all_distinct
 
 # Per-active-instant probability that a co-located pair stays together is
 # at most 3/4: 1/2 covers the lone-active-robot-stays case and 1/4 the
@@ -53,7 +53,7 @@ def check_closure(trace: Trace) -> ClosureVerdict:
         if first_distinct is None:
             if all_distinct(config):
                 first_distinct = t
-        elif multiplicity_points(config):
+        elif not all_distinct(config):
             return ClosureVerdict(False, first_distinct, t)
     return ClosureVerdict(True, first_distinct, None)
 

@@ -16,6 +16,15 @@ bit-identical cells, samples and generator states; ``VoronoiCell`` holds
 numpy arrays either way, and :meth:`VoronoiCell.contains`, which no hot
 loop calls, reads them as columns.
 
+The scatter draw, :func:`scatter_target`, is ``own_cell`` then
+``sample_in_cell`` from the site itself, in one pass. Up to
+``SMALL_CELL`` points it never builds a ``VoronoiCell``: one loop over
+the points builds each rival's row and its slack at the site on Python
+floats, with ``own_cell``'s operations, and the ray cast that
+``sample_in_cell`` runs on Python-float rows runs on those. Larger inputs
+take the numpy route through both functions. The draw is the same, bit
+for bit, on every route.
+
 Reach. A scatter draw (:func:`own_cell` of a site ``s`` among a view's
 points, then :func:`sample_in_cell` from ``s`` itself with travel bound
 sigma) depends only on the rivals within the reach r of ``s``, which
@@ -31,6 +40,8 @@ and message. Rows do not interact (membership is an ``all``, the exit
 distance an exact minimum) and the two paths of the kernel agree bit for
 bit, so it suffices that the row of every rival o at distance D >= r
 from s passes each check the kernel makes, for every direction drawn.
+The proof holds for :func:`scatter_target` unchanged: its rows, its
+exact minimum and its ``all`` are the same operations.
 
 Proof. Take u = 2**-53 (unit roundoff) and eta = 2**-1074 (the least
 subnormal); a rounded product or quotient is ``x(1 + d) + e`` with
@@ -153,14 +164,9 @@ class VoronoiCell:
         return _inside_columns(self.normals[:, 0], self.normals[:, 1], self.offsets, q[0], q[1])
 
 
-def _rows(cell: VoronoiCell) -> list:
-    """The cell's half-planes as Python floats: ``[[nx, ny], offset]`` pairs."""
-    return list(zip(cell.normals.tolist(), cell.offsets.tolist()))
-
-
 def _inside_rows(rows, x: float, y: float) -> bool:
     """Strict membership of (x, y) on the Python-float rows."""
-    for (nx, ny), off in rows:
+    for nx, ny, off, _ in rows:
         if not nx * x + ny * y < off:
             return False
     return True
@@ -186,6 +192,38 @@ class VoronoiDiagram:
         return None
 
 
+def _site_rows(position: Point, occupied: Sequence[Point] | np.ndarray):
+    """The rows of :func:`own_cell` on Python floats, one ``(nx, ny, offset,
+    slack)`` per rival in the order of ``occupied``, where ``slack`` is
+    ``offset - n.position``, the row's slack at the site itself. Raises as
+    :func:`own_cell` does when ``position`` is not among the points."""
+    sx, sy = position
+    if len(occupied) == 1:
+        ox, oy = occupied[0]
+        if ox != sx or oy != sy:
+            raise ContractViolationError("position is not one of the occupied points")
+        return ()
+    if isinstance(occupied, np.ndarray):
+        occupied = occupied.tolist()
+    own = sx * sx + sy * sy
+    # ``* 1.0`` rounds an int to a double, as an array does, and keeps
+    # the sign of a zero.
+    sx *= 1.0
+    sy *= 1.0
+    rows = []
+    for ox, oy in occupied:
+        ox *= 1.0
+        oy *= 1.0
+        if ox != sx or oy != sy:
+            nx = ox - sx
+            ny = oy - sy
+            off = 0.5 * ((ox * ox + oy * oy) - own)
+            rows.append((nx, ny, off, off - (nx * sx + ny * sy)))
+    if len(rows) == len(occupied):
+        raise ContractViolationError("position is not one of the occupied points")
+    return rows
+
+
 def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> VoronoiCell:
     """Voronoi cell of ``position`` among the distinct points ``occupied``,
     one half-plane per other point, in the order of ``occupied``.
@@ -195,39 +233,14 @@ def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> Voronoi
     path of the kernel; it must contain ``position`` and must be
     duplicate-free.
     """
-    sx, sy = position
-    if len(occupied) == 1:
-        ox, oy = occupied[0]
-        if ox != sx or oy != sy:
-            raise ContractViolationError("position is not one of the occupied points")
-        return VoronoiCell(
-            site=position,
-            normals=np.empty((0, 2), dtype=float),
-            offsets=np.empty((0,), dtype=float),
-        )
     if len(occupied) <= SMALL_CELL:
-        if isinstance(occupied, np.ndarray):
-            occupied = occupied.tolist()
-        own = sx * sx + sy * sy
-        # ``* 1.0`` rounds an int to a double, as an array does, and keeps
-        # the sign of a zero.
-        sx *= 1.0
-        sy *= 1.0
-        normals = []  # flat: nx0, ny0, nx1, ny1, ...
-        offsets = []
-        for ox, oy in occupied:
-            ox *= 1.0
-            oy *= 1.0
-            if ox != sx or oy != sy:
-                normals += (ox - sx, oy - sy)
-                offsets.append(0.5 * ((ox * ox + oy * oy) - own))
-        if len(offsets) == len(occupied):
-            raise ContractViolationError("position is not one of the occupied points")
+        rows = _site_rows(position, occupied)
         return VoronoiCell(
             site=position,
-            normals=np.array(normals, dtype=float).reshape(-1, 2),
-            offsets=np.array(offsets, dtype=float),
+            normals=np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2),
+            offsets=np.array([row[2] for row in rows], dtype=float),
         )
+    sx, sy = position
     pts = np.asarray(occupied, dtype=float).reshape(-1, 2)
     rival = (pts[:, 0] != sx) | (pts[:, 1] != sy)
     if rival.all():
@@ -281,53 +294,81 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
     of slack/speed over the rows ahead), so they return the same point
     after the same draws.
     """
+    _require_sigma(sigma)
+    cx, cy = current
+    if cell.offsets.shape[0] < SMALL_CELL:
+        rows = [
+            (nx, ny, off, off - (nx * cx + ny * cy))
+            for (nx, ny), off in zip(cell.normals.tolist(), cell.offsets.tolist())
+        ]
+        return _cast(current, sigma, rng, rows)
+    nx = cell.normals[:, 0]
+    ny = cell.normals[:, 1]
+    return _cast(current, sigma, rng, None, (nx, ny, cell.offsets, cell.offsets - (nx * cx + ny * cy)))
+
+
+def scatter_target(position: Point, occupied: Sequence[Point] | np.ndarray, sigma: float, rng) -> Point:
+    """The scatter draw from ``position`` in its open cell among the
+    distinct points ``occupied``: ``sample_in_cell(own_cell(position,
+    occupied), position, sigma, rng)``, bit for bit, with the same draws
+    and the same errors in the same order (membership, then sigma, then
+    the start check). Up to ``SMALL_CELL`` points it goes from the points
+    to the target on Python floats, one pass building the rows and their
+    slack at the site, and builds no :class:`VoronoiCell`; more points
+    take the numpy route through :func:`own_cell`."""
+    if len(occupied) > SMALL_CELL:
+        return sample_in_cell(own_cell(position, occupied), position, sigma, rng)
+    rows = _site_rows(position, occupied)
+    _require_sigma(sigma)
+    return _cast(position, sigma, rng, rows)
+
+
+def _require_sigma(sigma: float) -> None:
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise ContractViolationError("sigma must be a positive finite length")
-    cx, cy = current
-    offsets = cell.offsets
-    k = offsets.shape[0]
-    small = k < SMALL_CELL
-    if k == 0:  # the whole plane: no rows to read, no direction is blocked
-        inside = small = True
-    elif small:
-        rows = _rows(cell)
-        inside = _inside_rows(rows, cx, cy)
-        slack = [off - (nx * cx + ny * cy) for (nx, ny), off in rows]
+
+
+def _cast(current: Point, sigma: float, rng, rows, columns=None) -> Point:
+    """The start check and ray cast of :func:`sample_in_cell` from
+    ``current``, on Python-float ``rows`` ``(nx, ny, offset, slack)`` or,
+    when ``columns`` is given, on the numpy columns ``(nx, ny, offsets,
+    slack)``. ``slack`` is ``offset - n.current``, positive exactly when
+    ``n.current < offset`` for IEEE doubles."""
+    if columns is None:
+        for row in rows:
+            if not row[3] > 0.0:
+                raise ContractViolationError("current position must lie strictly inside the cell")
     else:
-        nx = cell.normals[:, 0]
-        ny = cell.normals[:, 1]
-        slack = offsets - (nx * cx + ny * cy)
-        # slack > 0 exactly when n.current < offset, for IEEE doubles.
-        inside = bool((slack > 0.0).all())
-    if not inside:
-        raise ContractViolationError("current position must lie strictly inside the cell")
+        nx, ny, offsets, slack = columns
+        if not (slack > 0.0).all():
+            raise ContractViolationError("current position must lie strictly inside the cell")
+    cx, cy = current
+    lo = sigma * _STEP_FLOOR
     for _ in range(64):
         theta = float(rng.uniform(0.0, TWO_PI))
         ux = math.cos(theta)
         uy = math.sin(theta)
         d = math.inf
-        if not small:
-            speed = nx * ux + ny * uy
-            ahead = speed > 0.0
-            if ahead.any():
-                d = float((slack[ahead] / speed[ahead]).min())
-        elif k:
-            for ((rx, ry), _), s in zip(rows, slack):
+        if columns is None:
+            for rx, ry, _, s in rows:
                 speed = rx * ux + ry * uy
                 if speed > 0.0:
                     t = s / speed
                     if t < d:
                         d = t
+        else:
+            speed = nx * ux + ny * uy
+            ahead = speed > 0.0
+            if ahead.any():
+                d = float((slack[ahead] / speed[ahead]).min())
         hi = min(sigma, 0.5 * d)
-        lo = sigma * _STEP_FLOOR
         if hi >= lo:
             step = float(rng.uniform(lo, hi))
         else:
             step = 0.5 * hi
         p = Point(cx + step * ux, cy + step * uy)
         if p != current and distance(current, p) <= sigma and (
-            k == 0
-            or (_inside_rows(rows, p.x, p.y) if small else _inside_columns(nx, ny, offsets, p.x, p.y))
+            _inside_rows(rows, p.x, p.y) if columns is None else _inside_columns(nx, ny, offsets, p.x, p.y)
         ):
             return p
     raise GeometryError("could not sample a valid in-cell target after 64 attempts")

@@ -14,7 +14,7 @@ from statistics import fmean
 from typing import Callable
 
 from .errors import CapabilityError, ContractViolationError, ScenarioValidationError
-from .geometry import Point, distance, own_cell, sample_in_cell
+from .geometry import Point, distance, scatter_target
 from .world import Capabilities, View
 
 
@@ -36,10 +36,10 @@ def scatter_step(view: View, sigma: float, rng) -> Point:
     if _flip(rng) == 1:
         return view.self_pos
     # Only rivals within reach can change the draw (the geometry module
-    # docstring proves it); the view hands the kernel those, or all its
-    # points, in the form the kernel's size selection takes.
-    cell = own_cell(view.self_pos, view.within_reach(sigma))
-    return sample_in_cell(cell, view.self_pos, sigma, rng)
+    # docstring proves it); the view hands the draw those, or all its
+    # points, in the form its size selection takes: up to SMALL_CELL
+    # points, the draw goes from them to the target on Python floats.
+    return scatter_target(view.self_pos, view.within_reach(sigma), sigma, rng)
 
 
 def _require_counts(view: View, caps: Capabilities) -> tuple[int, ...]:

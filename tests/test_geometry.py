@@ -340,16 +340,72 @@ def test_bounded_flag():
     assert not strip.cells[0].bounded  # strip between two parallel bisectors
 
 
-def _scatter_draw(position, occupied, sigma, seed):
+def _cell_then_sample(position, occupied, sigma, rng):
+    """The scatter draw as the public kernel spells it: the reference for
+    :func:`geometry.scatter_target`."""
+    return sample_in_cell(own_cell(position, occupied), position, sigma, rng)
+
+
+def _scatter_draw(position, occupied, sigma, seed, draw=None):
     """The scatter draw of ``scatter_step`` from ``position`` among
-    ``occupied``: the target's bits (or the error) and the generator state
-    after it."""
+    ``occupied`` (or of ``draw``, taking the same arguments): the target's
+    bits (or the error) and the generator state after it."""
     rng = np.random.default_rng(seed)
     try:
-        out = np.array(sample_in_cell(own_cell(position, occupied), position, sigma, rng)).tobytes()
+        out = np.array((draw or geometry.scatter_target)(position, occupied, sigma, rng)).tobytes()
     except (ContractViolationError, GeometryError) as exc:
         out = (type(exc), str(exc))
     return out, rng.bit_generator.state
+
+
+def _scaled(coords):
+    """Lists of coordinate pairs, all scaled by one power of ten."""
+    return st.tuples(coords, st.integers(-8, 8)).map(
+        lambda a: [(x * 10.0 ** a[1], y * 10.0 ** a[1]) for x, y in a[0]]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    raw=_scaled(st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=geometry.SMALL_CELL + 8))
+    | st.lists(st.tuples(_int_coords, _int_coords), min_size=1, max_size=geometry.SMALL_CELL + 8),
+    pick=st.integers(0, 100),
+    flip=st.booleans(),
+    missing=st.booleans(),
+    bad_sigma=st.none() | st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+    sigma_exp=st.floats(-3, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A one-point view (a co-located pair), the position's zero signs flipped.
+@example(raw=[(0.0, 0.0)], pick=0, flip=True, missing=False, bad_sigma=None, sigma_exp=0.0, seed=1)
+# No points at all.
+@example(raw=[(0.0, 0.0)], pick=0, flip=False, missing=True, bad_sigma=None, sigma_exp=0.0, seed=1)
+def test_scatter_target_is_the_cell_then_sample_draw(raw, pick, flip, missing, bad_sigma, sigma_exp, seed):
+    """The one-pass draw gives the draw of ``sample_in_cell(own_cell(...))``
+    bit for bit on either path of the kernel, from points or their array:
+    the same target, the same generator state, the same error, raised in
+    the same order (membership, then sigma, then the start check). A valid
+    sigma is a power of ten times the largest coordinate, so that the
+    exit distance, and with it every row's slack, often sets the step."""
+    occupied = tuple(dict.fromkeys(Point(x, y) for x, y in raw))
+    if bad_sigma is None:
+        sigma = 10.0**sigma_exp * max(1.0, *(abs(c) for p in occupied for c in p))
+    else:
+        sigma = bad_sigma
+    i = pick % len(occupied)
+    position = occupied[i]
+    if flip:
+        position = _flip_zero_signs(position)  # equal under ==, different bits
+    if missing:
+        occupied = occupied[:i] + occupied[i + 1 :]
+    for small_cell in (geometry.SMALL_CELL, 1, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "SMALL_CELL", small_cell)
+            for given_occupied in (occupied, np.array(occupied)):
+                want = _scatter_draw(position, given_occupied, sigma, seed, _cell_then_sample)
+                assert _scatter_draw(position, given_occupied, sigma, seed) == want
+                if missing:
+                    assert want[0] == (ContractViolationError, "position is not one of the occupied points")
 
 
 def _reach_limited(points, position, sigma):
@@ -413,20 +469,22 @@ def test_reach_limited_draw_is_bit_identical(raw, scale_exp, ulp_pairs, sigma_ex
 @pytest.mark.parametrize(
     "cell, far",
     [
-        # ROADMAP item 5: these cells fail their start check.
+        # ROADMAP item 7: these cells fail their start check.
         ([(1e12, 0.0), (1e12 + 1.0, 0.0)], lambda k: (1e12 + 1e7 * (k % 6), 1e9 + 1e7 * (k // 6))),
         ([(0.0, 0.0), (1e-200, 0.0)], lambda k: (100.0 + 10.0 * (k % 6), 100.0 + 10.0 * (k // 6))),
         ([(1e8, 1e8), (1e8 + 1e-7, 1e8)], lambda k: (1e8 + 1e3 * (k % 6), 1e8 + 1e3 + 1e3 * (k // 6))),
+        ([(5e-324, 0.0), (1e-323, 0.0)], lambda k: (100.0 + 10.0 * (k % 6), 100.0 + 10.0 * (k // 6))),
     ],
 )
 def test_failing_cells_still_fail_among_far_points(cell, far):
     """Padded with far points past SMALL_CELL sites, a cell whose start
     check fails fails the same way on the reach-limited route, which keeps
-    the near rival and drops the far points."""
+    the near rival and drops the far points, and on the one-pass draw."""
     position = Point(*cell[0])
     points = sorted({Point(*p) for p in cell} | {Point(*far(k)) for k in range(36)})
     near = _reach_limited(points, position, 1.0)
     assert near is not None and sorted(near) == sorted(Point(*p) for p in cell)
     for occupied in (np.array(points), near):
-        with pytest.raises(ContractViolationError, match="strictly inside"):
-            sample_in_cell(own_cell(position, occupied), position, 1.0, np.random.default_rng(0))
+        for draw in (_cell_then_sample, geometry.scatter_target):
+            with pytest.raises(ContractViolationError, match="strictly inside"):
+                draw(position, occupied, 1.0, np.random.default_rng(0))
