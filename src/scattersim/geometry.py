@@ -5,25 +5,19 @@ half-planes, one constraint per rival site. Membership is strict
 everywhere: a point on a bisector belongs to no cell. Position equality
 means bit-equal coordinates; nothing in this module ever snaps or rounds.
 
-The cell kernel (:func:`own_cell` and :func:`sample_in_cell`) has two
-forms of its rows, chosen by cell size. A cell of at most ``SMALL_CELL``
-sites is worked on as Python floats, one row at a time: at a handful of
-sites each numpy call costs more than the whole arithmetic. A larger cell
-is worked on as numpy columns. Both forms do the same IEEE-754 double
-operations in the same order (``x*x`` for a square, no fused multiply-add,
-an exact minimum) and draw the same random numbers, so they give
-bit-identical cells, samples and generator states; ``VoronoiCell`` holds
-numpy arrays either way, and :meth:`VoronoiCell.contains`, which no hot
-loop calls, reads them as columns.
-
+The cell kernel is :func:`own_cell`, which builds a :class:`VoronoiCell`
+on numpy columns, and :func:`sample_in_cell`, which casts rays in one.
 The scatter draw, :func:`scatter_target`, is ``own_cell`` then
-``sample_in_cell`` from the site itself, in one pass. Up to
-``SMALL_CELL`` points it never builds a ``VoronoiCell``: one loop over
-the points builds each rival's row and its slack at the site on Python
-floats, with ``own_cell``'s operations, and the ray cast that
-``sample_in_cell`` runs on Python-float rows runs on those. Larger inputs
-take the numpy route through both functions. The draw is the same, bit
-for bit, on every route.
+``sample_in_cell`` from the site itself, and the form of its points picks
+its route: an array goes through those two functions on numpy columns; a
+sequence of points, of any length, goes from the points to the target on
+Python floats in one pass, which builds each rival's row and its slack at
+the site and casts the rays on those rows, with no ``VoronoiCell``. The
+caller decides the form; for ``protocols.scatter_step`` that is
+``world.View.within_reach``. Both routes do the same IEEE-754 double
+operations in the same order (``x*x`` for a square, no fused multiply-add,
+an exact minimum) and draw the same random numbers, so they give the same
+target, the same generator state and the same error, bit for bit.
 
 Reach. A scatter draw (:func:`own_cell` of a site ``s`` among a view's
 points, then :func:`sample_in_cell` from ``s`` itself with travel bound
@@ -37,11 +31,9 @@ view. :func:`reach_index` finds those rivals through a uniform grid, and
 the cell built from them gives the draw of the cell of all points, bit
 for bit: the same point, the same generator state, the same exception
 and message. Rows do not interact (membership is an ``all``, the exit
-distance an exact minimum) and the two paths of the kernel agree bit for
+distance an exact minimum) and the two routes of the draw agree bit for
 bit, so it suffices that the row of every rival o at distance D >= r
-from s passes each check the kernel makes, for every direction drawn.
-The proof holds for :func:`scatter_target` unchanged: its rows, its
-exact minimum and its ``all`` are the same operations.
+from s passes each check the draw makes, for every direction drawn.
 
 Proof. Take u = 2**-53 (unit roundoff) and eta = 2**-1074 (the least
 subnormal); a rounded product or quotient is ``x(1 + d) + e`` with
@@ -58,8 +50,8 @@ D >= 4*s1 + sqrt(2E) + 2**-500 with s1 = sigma*(1 + 16u), hence
 D*(D - 4*s1) >= 2E + D*2**-500 and D*(D - 2*s1) >= 2E + 8*s1**2 +
 D*2**-500. The D*2**-500 term covers every eta-sized term below.
 
-(a) The start check holds (``slack > 0``; ``n.s < offset`` on the float
-    path): the computed slack is at least D**2/2 - E > 0.
+(a) The start check ``slack > 0`` holds: the computed slack is at least
+    D**2/2 - E > 0.
 (b) The exit distance matters only through hi = min(sigma, d/2), and
     that is unchanged. Along a drawn direction (ux, uy), the cosine and
     sine of the drawn angle, the computed speed ``n.u`` is at most
@@ -103,13 +95,6 @@ TWO_PI = 2.0 * math.pi
 # Step-length floor, as a fraction of sigma, so a sampled target never
 # rounds back onto the start point.
 _STEP_FLOOR = 1e-3
-
-# Cells of at most this many sites (the own site included, so fewer than
-# SMALL_CELL rows) take the Python-float path, larger ones the numpy path.
-# Per mover (own_cell + sample_in_cell) the Python path measured cheaper up
-# to about 40 sites and dearer beyond (CHANGES.md has the figures). A caller
-# holding both the points and their array passes the points up to this size.
-SMALL_CELL = 32
 
 # A view whose bounding box spans at most this many reaches keeps all its
 # points: its grid would be a few cells wide, so each mover would still
@@ -192,7 +177,7 @@ class VoronoiDiagram:
         return None
 
 
-def _site_rows(position: Point, occupied: Sequence[Point] | np.ndarray):
+def _site_rows(position: Point, occupied: Sequence[Point]):
     """The rows of :func:`own_cell` on Python floats, one ``(nx, ny, offset,
     slack)`` per rival in the order of ``occupied``, where ``slack`` is
     ``offset - n.position``, the row's slack at the site itself. Raises as
@@ -203,8 +188,6 @@ def _site_rows(position: Point, occupied: Sequence[Point] | np.ndarray):
         if ox != sx or oy != sy:
             raise ContractViolationError("position is not one of the occupied points")
         return ()
-    if isinstance(occupied, np.ndarray):
-        occupied = occupied.tolist()
     own = sx * sx + sy * sy
     # ``* 1.0`` rounds an int to a double, as an array does, and keeps
     # the sign of a zero.
@@ -226,20 +209,14 @@ def _site_rows(position: Point, occupied: Sequence[Point] | np.ndarray):
 
 def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> VoronoiCell:
     """Voronoi cell of ``position`` among the distinct points ``occupied``,
-    one half-plane per other point, in the order of ``occupied``.
-    ``occupied`` is a sequence of points or an (m, 2) array of them, and
-    every coordinate is rounded to a double before it is compared or
-    subtracted, so the rows come out bit-identical either way and on either
-    path of the kernel; it must contain ``position`` and must be
+    one half-plane per other point, in the order of ``occupied``, built on
+    numpy columns. ``occupied`` is a sequence of points or an (m, 2) array
+    of them, and every coordinate is rounded to a double before it is
+    compared or subtracted, so the rows come out bit-identical either way,
+    and equal to the Python-float rows of :func:`scatter_target`'s
+    sequence route; it must contain ``position`` and must be
     duplicate-free.
     """
-    if len(occupied) <= SMALL_CELL:
-        rows = _site_rows(position, occupied)
-        return VoronoiCell(
-            site=position,
-            normals=np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2),
-            offsets=np.array([row[2] for row in rows], dtype=float),
-        )
     sx, sy = position
     pts = np.asarray(occupied, dtype=float).reshape(-1, 2)
     rival = (pts[:, 0] != sx) | (pts[:, 1] != sy)
@@ -286,22 +263,12 @@ def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Poin
     postconditions (inside, distinct, within sigma) before it is handed
     back; a fresh direction is drawn on the rare rounding failure.
 
-    A cell of fewer than ``SMALL_CELL`` rows is read once into Python
-    floats and every ray is cast row by row, since numpy's per-call
-    overhead outweighs so little arithmetic; a larger cell is cast on
-    numpy columns. Both do the same double operations in the same order
-    (each row's slack ``offset - n.current`` once, then the exact minimum
-    of slack/speed over the rows ahead), so they return the same point
-    after the same draws.
+    The ray is cast on the cell's numpy columns: each row's slack
+    ``offset - n.current`` once, then the exact minimum of slack/speed over
+    the rows ahead.
     """
     _require_sigma(sigma)
     cx, cy = current
-    if cell.offsets.shape[0] < SMALL_CELL:
-        rows = [
-            (nx, ny, off, off - (nx * cx + ny * cy))
-            for (nx, ny), off in zip(cell.normals.tolist(), cell.offsets.tolist())
-        ]
-        return _cast(current, sigma, rng, rows)
     nx = cell.normals[:, 0]
     ny = cell.normals[:, 1]
     return _cast(current, sigma, rng, None, (nx, ny, cell.offsets, cell.offsets - (nx * cx + ny * cy)))
@@ -312,11 +279,14 @@ def scatter_target(position: Point, occupied: Sequence[Point] | np.ndarray, sigm
     distinct points ``occupied``: ``sample_in_cell(own_cell(position,
     occupied), position, sigma, rng)``, bit for bit, with the same draws
     and the same errors in the same order (membership, then sigma, then
-    the start check). Up to ``SMALL_CELL`` points it goes from the points
+    the start check). The form of ``occupied`` picks the route, whatever
+    its length: an array takes the numpy route through :func:`own_cell`
+    and :func:`sample_in_cell`; a sequence of points goes from the points
     to the target on Python floats, one pass building the rows and their
-    slack at the site, and builds no :class:`VoronoiCell`; more points
-    take the numpy route through :func:`own_cell`."""
-    if len(occupied) > SMALL_CELL:
+    slack at the site, and builds no :class:`VoronoiCell`. The caller
+    decides the form (``world.View.within_reach`` does for
+    ``protocols.scatter_step``)."""
+    if isinstance(occupied, np.ndarray):
         return sample_in_cell(own_cell(position, occupied), position, sigma, rng)
     rows = _site_rows(position, occupied)
     _require_sigma(sigma)

@@ -37,8 +37,8 @@ def scatter_step(view: View, sigma: float, rng) -> Point:
         return view.self_pos
     # Only rivals within reach can change the draw (the geometry module
     # docstring proves it); the view hands the draw those, or all its
-    # points, in the form its size selection takes: up to SMALL_CELL
-    # points, the draw goes from them to the target on Python floats.
+    # points, and the form it hands them in picks the draw's route: a
+    # sequence goes to the target on Python floats, an array on numpy.
     return scatter_target(view.self_pos, view.within_reach(sigma), sigma, rng)
 
 
@@ -181,6 +181,11 @@ class Protocol:
     may be reused, within the instant, for every co-located robot that
     observes through the identity frame with the same sigma, and its rule
     is not called for them.
+
+    ``sigma`` is the robot's travel bound in global units, while ``view``
+    and the returned target are in the robot's local frame. Under a frame
+    of unit u a target can therefore lie up to sigma * u away; the engine
+    caps the move at sigma along the segment toward it.
     """
 
     kind = "?"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, ScenarioValidationError
-from .geometry import SMALL_CELL, Point, reach_index
+from .geometry import Point, reach_index
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,11 @@ class Capabilities:
     localization_knowledge: bool = False
 
 
+# A view of at most this many points hands them to the scatter draw as a
+# tuple, which the draw works on as Python floats: at so few points each
+# numpy call costs more than the whole arithmetic (View.within_reach).
+SMALL_CELL = 32
+
 # One position per robot, indexed by ordinal.
 Configuration = tuple[Point, ...]
 
@@ -200,15 +205,20 @@ class View:
 
     def within_reach(self, sigma: float):
         """The points the robot's scatter cell needs at travel bound
-        ``sigma``, as the cell kernel takes them: ``points`` for a view of
-        at most ``SMALL_CELL`` points; else its own point and every point
-        within :func:`geometry.reach` of it, found through a grid that the
-        shared views build once per ``sigma`` (see :func:`reach_index`).
-        The first query for a ``sigma`` gets all points (``occupied``) and
-        builds nothing, so a view that only one robot queries, such as a
-        private frame's, never pays for a grid. The second builds the grid,
-        or learns that :func:`reach_index` keeps the view whole, and later
-        queries reuse that. The draw is the same, bit for bit, either way."""
+        ``sigma``, in the form that picks the route of
+        :func:`geometry.scatter_target`, which this method alone decides: a
+        sequence goes to the target on Python floats, an array on numpy
+        columns. A view of at most ``SMALL_CELL`` points returns ``points``.
+        A larger one returns its own point and every point within
+        :func:`geometry.reach` of it, as a list of any length, found
+        through a grid that the shared views build once per ``sigma`` (see
+        :func:`reach_index`). The first query for a ``sigma`` gets all
+        points as the array ``occupied`` and builds nothing, so a view that
+        only one robot queries, such as a private frame's, never pays for a
+        grid. The second builds the grid, or learns that
+        :func:`reach_index` keeps the view whole, so that every query gets
+        the array; later queries reuse that. The draw is the same, bit for
+        bit, whatever the form and the points."""
         points = self.points
         if len(points) <= SMALL_CELL:
             return points

@@ -21,7 +21,7 @@ from scattersim import (
 from scattersim import analysis, campaigns
 from scattersim.analysis import PAIR_PERSISTENCE_BOUND, GatherSummary, _pair_campaign
 from scattersim.engine import TRIAL_BLOCK, RecordingSource, StepRecord, Trace
-from scattersim.errors import NotDeterministicError
+from scattersim.errors import NotDeterministicError, ScenarioValidationError
 from scattersim.protocols import DETERMINISTIC_RULES, ProtocolSpec
 
 from conftest import make_scenario
@@ -188,6 +188,17 @@ def test_impossibility_all_rules():
 def test_impossibility_rejects_coin_draws():
     with pytest.raises(NotDeterministicError):
         impossibility_demo(ProtocolSpec("scatter").build(), steps=10, n=3)
+
+
+def test_campaign_sizes_are_checked():
+    rule = ProtocolSpec("deterministic_rule", rule=next(iter(DETERMINISTIC_RULES))).build()
+    with pytest.raises(ValueError, match="steps"):
+        impossibility_demo(rule, steps=0, n=3)
+    with pytest.raises(ScenarioValidationError, match="n >= 2"):
+        impossibility_demo(rule, steps=10, n=1)
+    for campaign in (estimate_pair_separation, verify_decay_bound):
+        with pytest.raises(ValueError, match="trials"):
+            campaign(SchedulerSpec("full_synchronous"), 0)
 
 
 def test_gather_stats_pair_already_gathered():

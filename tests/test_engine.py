@@ -72,6 +72,13 @@ def test_inactive_robot_keeps_exact_position():
     assert outcome.activated_count == 1
 
 
+def test_step_refuses_an_empty_activation_set():
+    config = as_configuration([(0.1, 0.2), (5.0, 5.0)])
+    robots = (Robot(0, 1.0), Robot(1, 1.0))
+    with pytest.raises(ScenarioValidationError, match="non-empty"):
+        step(config, set(), robots, FixedTarget(Point(9, 9)), Capabilities(), np.random.default_rng(0))
+
+
 def test_travel_capped_exactly_at_sigma():
     config = as_configuration([(0, 0)])
     robots = (Robot(0, 2.0),)

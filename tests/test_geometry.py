@@ -12,6 +12,7 @@ from scattersim import (
     distance,
     own_cell,
     sample_in_cell,
+    world,
 )
 from scattersim.errors import ContractViolationError, DistinctSitesError, GeometryError
 from scattersim.world import View
@@ -71,6 +72,12 @@ def test_duplicate_sites_rejected():
 def test_empty_input_rejected():
     with pytest.raises(DistinctSitesError):
         compute_voronoi([])
+
+
+def test_non_finite_site_rejected():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DistinctSitesError, match="^non-finite site"):
+            compute_voronoi([Point(0.0, 0.0), Point(1.0, bad)])
 
 
 def test_halfplane_membership_examples():
@@ -186,26 +193,49 @@ def test_own_cell_one_point_and_missing_position():
             own_cell(Point(0.0, 0.0), occupied)
 
 
-def _kernel_on_path(path, position, occupied, current, sigma, seed):
-    """Everything the cell kernel produces on one path: the rows, the sample
-    (or the error) and the generator state after it, and two memberships."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "SMALL_CELL", {"numpy": 1, "python": 10**9}[path])
+def _kernel_on_path(route, position, occupied, current, sigma, seed):
+    """Everything the cell kernel produces on one route of the scatter
+    draw: the rows, the sample from ``current`` (or the error) and the
+    generator state after it, and two memberships. The ``"array"`` route is
+    :func:`own_cell`, given ``occupied`` as it is, then
+    :func:`sample_in_cell`; the ``"sequence"`` route takes the Python-float
+    rows that :func:`geometry.scatter_target` builds from a sequence and
+    casts them from ``current``, as that draw does from the site."""
+    rng = np.random.default_rng(seed)
+    if route == "array":
         cell = own_cell(position, occupied)
-        rng = np.random.default_rng(seed)
-        try:
-            out = sample_in_cell(cell, current, sigma, rng)
-        except (ContractViolationError, GeometryError) as exc:
-            out = (type(exc), str(exc))
-        return (
-            cell.normals.shape,
-            cell.normals.tobytes(),
-            cell.offsets.tobytes(),
-            out,
-            rng.bit_generator.state,
-            cell.contains(current),
-            cell.contains(position),
-        )
+        normals, offsets, inside = cell.normals, cell.offsets, cell.contains
+
+        def draw():
+            return sample_in_cell(cell, current, sigma, rng)
+
+    else:
+        rows = geometry._site_rows(position, occupied)
+        normals = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2)
+        offsets = np.array([row[2] for row in rows], dtype=float)
+        cx, cy = current
+        at_current = [(nx, ny, off, off - (nx * cx + ny * cy)) for nx, ny, off, _ in rows]
+
+        def inside(q):
+            return geometry._inside_rows(rows, q[0], q[1])
+
+        def draw():
+            geometry._require_sigma(sigma)
+            return geometry._cast(current, sigma, rng, at_current)
+
+    try:
+        out = draw()
+    except (ContractViolationError, GeometryError) as exc:
+        out = (type(exc), str(exc))
+    return (
+        normals.shape,
+        normals.tobytes(),
+        offsets.tobytes(),
+        out,
+        rng.bit_generator.state,
+        inside(current),
+        inside(position),
+    )
 
 
 # Small integers (co-circular grids), zeros of both signs, and any float.
@@ -214,7 +244,7 @@ _grid_coords = st.integers(-3, 3).map(float) | st.just(-0.0) | st.floats(-4, 4)
 
 @settings(max_examples=300, deadline=None)
 @given(
-    raw=st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=geometry.SMALL_CELL + 8),
+    raw=st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=2 * world.SMALL_CELL + 8),
     scale_exp=st.integers(-8, 8),
     sigma_exp=st.integers(-12, 2),
     pick=st.integers(0, 100),
@@ -233,7 +263,7 @@ _grid_coords = st.integers(-3, 3).map(float) | st.just(-0.0) | st.floats(-4, 4)
     raw=[(3.0, 3.0), (2.0, 3.0), (3.0, 2.0)],
     scale_exp=8, sigma_exp=-12, pick=0, flip=False, from_rival=False, seed=3,
 )
-def test_small_and_large_cell_paths_agree_bytewise(raw, scale_exp, sigma_exp, pick, flip, from_rival, seed):
+def test_sequence_and_array_routes_agree_bytewise(raw, scale_exp, sigma_exp, pick, flip, from_rival, seed):
     scale = 10.0**scale_exp
     occupied = tuple(dict.fromkeys(Point(x * scale, y * scale) for x, y in raw))
     position = occupied[pick % len(occupied)]
@@ -242,10 +272,9 @@ def test_small_and_large_cell_paths_agree_bytewise(raw, scale_exp, sigma_exp, pi
     current = occupied[(pick + 1) % len(occupied)] if from_rival else position
     sigma = 10.0**sigma_exp
     array = np.array(occupied, dtype=float)
-    reference = _kernel_on_path("numpy", position, array, current, sigma, seed)
-    for path in ("numpy", "python"):
-        for given_occupied in (occupied, array):
-            assert _kernel_on_path(path, position, given_occupied, current, sigma, seed) == reference
+    reference = _kernel_on_path("array", position, array, current, sigma, seed)
+    assert _kernel_on_path("array", position, occupied, current, sigma, seed) == reference
+    assert _kernel_on_path("sequence", position, occupied, current, sigma, seed) == reference
     if not reference[-2]:
         assert reference[3] == (
             ContractViolationError,
@@ -259,19 +288,20 @@ _int_coords = st.integers(-(2**40), 2**40) | st.integers(-(2**60), 2**60)
 
 @settings(max_examples=200, deadline=None)
 @given(
-    raw=st.lists(st.tuples(_int_coords, _int_coords), min_size=1, max_size=geometry.SMALL_CELL + 8, unique=True),
+    raw=st.lists(st.tuples(_int_coords, _int_coords), min_size=1, max_size=2 * world.SMALL_CELL + 8, unique=True),
     pick=st.integers(0, 100),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_int_coordinates_round_to_doubles_on_both_paths(raw, pick, seed):
     """Int coordinates are rounded to doubles before any arithmetic, as
-    an array rounds them, so both paths give the rows of the float input."""
+    an array rounds them, so both routes give the rows of the float input,
+    from the points or from their int array."""
     occupied = tuple(Point(x, y) for x, y in raw)
     position = occupied[pick % len(occupied)]
-    reference = _kernel_on_path("numpy", position, np.array(occupied, dtype=float), position, 1.0, seed)
-    for path in ("numpy", "python"):
-        for given_occupied in (occupied, np.array(occupied)):
-            assert _kernel_on_path(path, position, given_occupied, position, 1.0, seed) == reference
+    reference = _kernel_on_path("array", position, np.array(occupied, dtype=float), position, 1.0, seed)
+    for given_occupied in (occupied, np.array(occupied)):
+        assert _kernel_on_path("array", position, given_occupied, position, 1.0, seed) == reference
+    assert _kernel_on_path("sequence", position, occupied, position, 1.0, seed) == reference
 
 
 def test_sample_postconditions_randomized(rng):
@@ -367,45 +397,50 @@ def _scaled(coords):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    raw=_scaled(st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=geometry.SMALL_CELL + 8))
-    | st.lists(st.tuples(_int_coords, _int_coords), min_size=1, max_size=geometry.SMALL_CELL + 8),
+    raw=_scaled(st.lists(st.tuples(_grid_coords, _grid_coords), min_size=1, max_size=2 * world.SMALL_CELL + 8))
+    | st.lists(st.tuples(_int_coords, _int_coords), min_size=1, max_size=2 * world.SMALL_CELL + 8),
     pick=st.integers(0, 100),
     flip=st.booleans(),
     missing=st.booleans(),
-    bad_sigma=st.none() | st.sampled_from([0.0, -1.0, math.inf, math.nan]),
+    fixed_sigma=st.none() | st.sampled_from([0.0, -1.0, math.inf, math.nan]),
     sigma_exp=st.floats(-3, 2),
     seed=st.integers(0, 2**32 - 1),
 )
 # A one-point view (a co-located pair), the position's zero signs flipped.
-@example(raw=[(0.0, 0.0)], pick=0, flip=True, missing=False, bad_sigma=None, sigma_exp=0.0, seed=1)
+@example(raw=[(0.0, 0.0)], pick=0, flip=True, missing=False, fixed_sigma=None, sigma_exp=0.0, seed=1)
 # No points at all.
-@example(raw=[(0.0, 0.0)], pick=0, flip=False, missing=True, bad_sigma=None, sigma_exp=0.0, seed=1)
-def test_scatter_target_is_the_cell_then_sample_draw(raw, pick, flip, missing, bad_sigma, sigma_exp, seed):
+@example(raw=[(0.0, 0.0)], pick=0, flip=False, missing=True, fixed_sigma=None, sigma_exp=0.0, seed=1)
+# The first point drawn rounds onto the bisector, so the draw retries.
+@example(
+    raw=[(1325278666846106.5, 1325278666846106.8), (1325278666846106.8, 1325278666846106.5)],
+    pick=0, flip=False, missing=False, fixed_sigma=0.3294659050362481, sigma_exp=0.0, seed=143684,
+)
+def test_scatter_target_is_the_cell_then_sample_draw(raw, pick, flip, missing, fixed_sigma, sigma_exp, seed):
     """The one-pass draw gives the draw of ``sample_in_cell(own_cell(...))``
-    bit for bit on either path of the kernel, from points or their array:
-    the same target, the same generator state, the same error, raised in
-    the same order (membership, then sigma, then the start check). A valid
-    sigma is a power of ten times the largest coordinate, so that the
-    exit distance, and with it every row's slack, often sets the step."""
+    bit for bit on either route, from points or their array: the same
+    target, the same generator state, the same error, raised in the same
+    order (membership, then sigma, then the start check). Unless a sigma
+    is fixed (a bad one, or an example's), sigma is a power of ten times
+    the largest coordinate, so that the exit distance, and with it every
+    row's slack, often sets the step."""
     occupied = tuple(dict.fromkeys(Point(x, y) for x, y in raw))
-    if bad_sigma is None:
+    if fixed_sigma is None:
         sigma = 10.0**sigma_exp * max(1.0, *(abs(c) for p in occupied for c in p))
     else:
-        sigma = bad_sigma
+        sigma = fixed_sigma
     i = pick % len(occupied)
     position = occupied[i]
     if flip:
         position = _flip_zero_signs(position)  # equal under ==, different bits
     if missing:
         occupied = occupied[:i] + occupied[i + 1 :]
-    for small_cell in (geometry.SMALL_CELL, 1, 10**9):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geometry, "SMALL_CELL", small_cell)
-            for given_occupied in (occupied, np.array(occupied)):
-                want = _scatter_draw(position, given_occupied, sigma, seed, _cell_then_sample)
-                assert _scatter_draw(position, given_occupied, sigma, seed) == want
-                if missing:
-                    assert want[0] == (ContractViolationError, "position is not one of the occupied points")
+    sequence = _scatter_draw(position, occupied, sigma, seed)
+    assert _scatter_draw(position, np.array(occupied), sigma, seed) == sequence
+    for given_occupied in (occupied, np.array(occupied)):
+        want = _scatter_draw(position, given_occupied, sigma, seed, _cell_then_sample)
+        assert want == sequence
+        if missing:
+            assert want[0] == (ContractViolationError, "position is not one of the occupied points")
 
 
 def _reach_limited(points, position, sigma):
@@ -431,7 +466,7 @@ def _spread_points(raw, scale, ulp_pairs):
     raw=st.lists(
         st.tuples(st.floats(-1, 1), st.floats(-1, 1))
         | st.tuples(st.integers(-40, 40).map(float), st.integers(-40, 40).map(float)),
-        min_size=geometry.SMALL_CELL + 1,
+        min_size=world.SMALL_CELL + 1,
         max_size=150,
     ),
     scale_exp=st.integers(-150, 12),
@@ -447,7 +482,7 @@ def test_reach_limited_draw_is_bit_identical(raw, scale_exp, ulp_pairs, sigma_ex
     shared view, each through its own index."""
     scale = 10.0**scale_exp
     points = _spread_points(raw, scale, ulp_pairs)
-    if len(points) <= geometry.SMALL_CELL:
+    if len(points) <= world.SMALL_CELL:
         return
     view = View(tuple(points), None, points[0])
     sigmas = [scale * 10.0**e for e in sigma_exps]
@@ -466,6 +501,22 @@ def test_reach_limited_draw_is_bit_identical(raw, scale_exp, ulp_pairs, sigma_ex
     assert set(view._shared.reach) == set(sigmas)
 
 
+def test_huge_coordinate_keeps_the_view_whole():
+    """Beyond ``2**500`` in magnitude the reach bound does not hold, so a
+    view with such a coordinate keeps all its points, however wide it is,
+    and its draws are the draws among all points."""
+    points = sorted({Point(float(i % 8), float(i // 8)) for i in range(48)} | {Point(2.0**501, 0.0)})
+    assert geometry.reach_index(points, np.array(points), 1.0) is None
+    view = View(tuple(points), None, points[0])
+    for position in points[:3]:
+        mine = view.seen_from(position)
+        everything = _scatter_draw(position, view.occupied, 1.0, 5)
+        assert everything == _scatter_draw(position, tuple(points), 1.0, 5)
+        for _ in range(2):  # the first query and the index it learns of
+            assert _scatter_draw(position, mine.within_reach(1.0), 1.0, 5) == everything
+    assert view._shared.reach == {1.0: None}
+
+
 @pytest.mark.parametrize(
     "cell, far",
     [
@@ -477,9 +528,10 @@ def test_reach_limited_draw_is_bit_identical(raw, scale_exp, ulp_pairs, sigma_ex
     ],
 )
 def test_failing_cells_still_fail_among_far_points(cell, far):
-    """Padded with far points past SMALL_CELL sites, a cell whose start
-    check fails fails the same way on the reach-limited route, which keeps
-    the near rival and drops the far points, and on the one-pass draw."""
+    """Padded with far points past ``world.SMALL_CELL`` sites, a cell whose
+    start check fails fails the same way on the array route and on the
+    reach-limited route, which keeps the near rival and drops the far
+    points, and on the one-pass draw."""
     position = Point(*cell[0])
     points = sorted({Point(*p) for p in cell} | {Point(*far(k)) for k in range(36)})
     near = _reach_limited(points, position, 1.0)

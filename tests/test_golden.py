@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from scattersim import Point, geometry, load_trace, replay, run, write_trace
+from scattersim import Point, geometry, load_trace, replay, run, world, write_trace
 from scattersim.cli import main
 
 from conftest import make_scenario
@@ -196,14 +196,13 @@ def test_golden_trace_bytes(name, tmp_path):
 
 def test_golden_corpus_covers_both_cell_paths():
     """Some golden scatter trace steps from a configuration with more
-    occupied positions than the Python-float path of the cell kernel
-    takes, so its cells go through the numpy path, and some trace never
-    does."""
+    occupied positions than a view hands the draw as a tuple, so its draws
+    get an array or a reach list, and some trace never does."""
     widest = [
         max(len(set(c)) for c in list(load_trace(path).configs())[:-1])
         for path in sorted(GOLDEN.glob("scatter-*.trace"))
     ]
-    assert min(widest) <= geometry.SMALL_CELL < max(widest)
+    assert min(widest) <= world.SMALL_CELL < max(widest)
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,10 @@ import pytest
 
 from scattersim import (
     Capabilities,
-    geometry,
     Point,
     ProtocolSpec,
     Robot,
+    SchedulerSpec,
     View,
     as_configuration,
     build_view,
@@ -20,8 +20,11 @@ from scattersim import (
     scatter_step,
     stabilized_gather_step,
     stabilized_pattern_step,
+    step,
     to_global,
+    world,
 )
+from scattersim import geometry, protocols
 from scattersim.errors import (
     CapabilityError,
     ContractViolationError,
@@ -95,9 +98,63 @@ def test_colocated_movers_never_land_together():
     assert pairs == 100_000
 
 
+def test_only_an_array_takes_the_cell_route(monkeypatch):
+    """The form of the points picks the route of the scatter draw: from a
+    tuple of any length it builds no cell and gives the draw from their
+    array, bit for bit. In one scatter instant of 200 spread robots, only
+    the first ``within_reach`` query gets the view's array; the later
+    ones get lists, some longer than ``world.SMALL_CELL``, and build no
+    cell either."""
+    rng = np.random.default_rng(17)
+
+    def draw(position, occupied):
+        gen = np.random.default_rng(3)
+        target = geometry.scatter_target(position, occupied, 1.0, gen)
+        return np.array(target).tobytes(), gen.bit_generator.state
+
+    cases = []
+    for m in (33, 64, 200):
+        points = tuple(Point(float(x), float(y)) for x, y in rng.uniform(-3.0, 3.0, (m, 2)))
+        cases.append((points, draw(points[m // 2], np.array(points))))
+
+    def no_cell(position, occupied):
+        raise AssertionError("a sequence built a cell")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(geometry, "own_cell", no_cell)
+        for points, want in cases:
+            assert draw(points[len(points) // 2], points) == want
+
+    cells = []
+    own_cell = geometry.own_cell
+
+    def counting_own_cell(position, occupied):
+        cells.append(len(occupied))
+        return own_cell(position, occupied)
+
+    forms = []
+    scatter_target = protocols.scatter_target
+
+    def spy(position, occupied, sigma, rng):
+        forms.append((type(occupied), len(occupied)))
+        return scatter_target(position, occupied, sigma, rng)
+
+    monkeypatch.setattr(geometry, "own_cell", counting_own_cell)
+    monkeypatch.setattr(protocols, "scatter_target", spy)
+    config = as_configuration(rng.uniform(-10.0, 10.0, (200, 2)))
+    robots = tuple(Robot(j, 1.0) for j in range(200))
+    active = SchedulerSpec("bernoulli", 0.5).build().next_activation(200, rng)
+    step(config, active, robots, ProtocolSpec("scatter").build(), Capabilities(), rng)
+    assert forms[0] == (np.ndarray, 200)
+    assert {kind for kind, _ in forms[1:]} == {list}
+    assert max(size for _, size in forms[1:]) > world.SMALL_CELL
+    assert cells == [200]
+
+
 def test_scatter_requires_self_in_view():
-    # More points than the small-cell path takes, so the numpy path runs.
-    grid = tuple(sorted(Point(float(i % 7), float(i // 7)) for i in range(geometry.SMALL_CELL + 4)))
+    # More points than a view hands the draw as a tuple, so a move takes
+    # the array route.
+    grid = tuple(sorted(Point(float(i % 7), float(i // 7)) for i in range(world.SMALL_CELL + 4)))
     missing = [
         View(points=(Point(1, 1),), counts=None, self_pos=Point(0, 0)),
         View(points=(), counts=None, self_pos=Point(0, 0)),
@@ -202,6 +259,9 @@ def test_pair_gather_coin_semantics():
     view = view_of([(0, 0), (4, 0)], self_pos=(0, 0))
     assert pair_gather_step(view, 1.0, ScriptedSource([0])) == Point(4, 0)
     assert pair_gather_step(view, 1.0, ScriptedSource([1])) == Point(0, 0)
+    crowd = view_of([(0, 0), (4, 0), (0, 4)], self_pos=(0, 0))
+    with pytest.raises(ContractViolationError, match="two robots"):
+        pair_gather_step(crowd, 1.0, ScriptedSource([0]))
 
 
 def test_pair_gather_exhaustive_coin_pairs():

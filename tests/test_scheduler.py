@@ -79,6 +79,12 @@ def test_audit_window_longer_than_trace_is_inconclusive():
     assert verdict.worst_gap == 5  # robot 1 idle for the whole trace
 
 
+def test_audit_window_must_be_positive():
+    for window in (0, -3):
+        with pytest.raises(ValueError, match="window"):
+            audit_fairness(fake_trace([frozenset({0, 1})], 2), window)
+
+
 def test_spec_validation():
     with pytest.raises(ScenarioValidationError):
         SchedulerSpec("bernoulli", 0.0).validate()

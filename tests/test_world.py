@@ -21,7 +21,7 @@ from scattersim import (
     to_local,
 )
 from scattersim import geometry, world
-from scattersim.errors import ScenarioValidationError
+from scattersim.errors import ContractViolationError, ScenarioValidationError
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -72,6 +72,8 @@ def test_frame_validation():
         LocalFrame(unit=-1.0)
     with pytest.raises(ScenarioValidationError):
         LocalFrame(origin=Point(math.nan, 0.0))
+    with pytest.raises(ScenarioValidationError, match="rotation"):
+        LocalFrame(rotation=math.inf)
 
 
 def test_view_identity_frame_equals_global_points():
@@ -80,6 +82,10 @@ def test_view_identity_frame_equals_global_points():
     assert view.points == (Point(0, 0), Point(2, 1), Point(5, 5))  # sorted
     assert view.counts is None
     assert view.self_pos == Point(0, 0)
+    assert view.global_point(Point(2, 1)) is None  # only a private frame keeps a map
+    for stranger in (Robot(3, 1.0), Robot(-1, 1.0)):
+        with pytest.raises(ContractViolationError, match="does not belong"):
+            build_view(config, stranger, Capabilities())
 
 
 def test_view_applies_frame():
@@ -161,6 +167,12 @@ def test_all_distinct_examples():
     assert all_distinct(as_configuration([(4, 2)]))
 
 
+def test_configuration_refuses_non_finite_positions():
+    for bad in ((0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ScenarioValidationError, match="non-finite position"):
+            as_configuration([(0.0, 0.0), bad])
+
+
 def test_robot_requires_positive_sigma():
     with pytest.raises(ScenarioValidationError):
         Robot(0, 0.0)
@@ -179,7 +191,7 @@ def _spread_view(n, span, self_pos_index=0):
 
 
 def test_small_views_hand_their_points_to_the_kernel():
-    view = _spread_view(geometry.SMALL_CELL, 100.0)
+    view = _spread_view(world.SMALL_CELL, 100.0)
     assert view.within_reach(1.0) is view.points
 
 
