@@ -8,8 +8,6 @@
 # the farthest robot in, one mover per instant. It works from any start,
 # including robots stacked on top of each other.
 
-import numpy as np
-
 from scattersim import (
     Capabilities,
     ProtocolSpec,
@@ -18,13 +16,12 @@ from scattersim import (
     SchedulerSpec,
     as_configuration,
     gather_stats,
-    run,
 )
+from scattersim.campaigns import stabilized_gather
 
 # Two robots, one unit apart, travel bound covering the gap.
-steps = []
-for seed in range(2000):
-    scenario = Scenario(
+pair = gather_stats(
+    Scenario(
         robots=(Robot(0, 1.0), Robot(1, 1.0)),
         initial=as_configuration([(0, 0), (1, 0)]),
         caps=Capabilities(),
@@ -34,29 +31,12 @@ for seed in range(2000):
         max_steps=1000,
         stop_rule="gathered",
     )
-    steps.append(len(run(scenario).records))
-print(f"pair gathering: mean {np.mean(steps):.2f} instants (expected 2.0)")
-
-# Five robots from a corrupted configuration: two stacked pairs.
-rng = np.random.default_rng(3)
-scenarios = []
-for seed in range(200):
-    pts = rng.uniform(-2, 2, (3, 2))
-    positions = [tuple(pts[0])] * 2 + [tuple(pts[1])] * 2 + [tuple(pts[2])]
-    scenarios.append(
-        Scenario(
-            robots=tuple(Robot(i, 1.0) for i in range(5)),
-            initial=as_configuration(positions),
-            caps=Capabilities(multiplicity_detection=True, localization_knowledge=True),
-            scheduler=SchedulerSpec("bounded_delay", 4),
-            protocol=ProtocolSpec("stabilized_gather"),
-            seed=seed,
-            max_steps=10_000,
-            stop_rule="gathered",
-        )
-    )
-summary = gather_stats(scenarios)
-print(
-    f"five robots, corrupted starts: {summary.gathered}/{summary.trials} gathered, "
-    f"mean {summary.mean_steps:.1f}, worst {summary.max_steps} instants"
+    for seed in range(2000)
 )
+print(f"pair gathering: mean {pair.mean_steps:.2f} instants (expected 2.0)")
+
+# Five robots under bounded delay, from corrupted starts: all on one
+# point, stacked pairs, or scattered (the gathering campaign's starts).
+print("five robots, corrupted starts:")
+for check in stabilized_gather(200, 3, sizes=(5,)):
+    print(" ", check.line())

@@ -1,4 +1,4 @@
-# Pattern formation from arbitrary starts, duplicates included.
+# Pattern formation from a start with duplicates.
 #
 # The wrapper scatters whenever any position is crowded; once positions are
 # distinct, the bundled formation rule pairs sorted positions with sorted
@@ -20,34 +20,23 @@ from scattersim import (
 
 n = 4
 pattern = tuple(Point(float(i), 0.0) for i in range(n))
-rng = np.random.default_rng(11)
+pts = [tuple(p) for p in np.random.default_rng(11).uniform(-2, 2, (n - 1, 2)).tolist()]
+positions = [pts[0]] + pts  # one stacked pair
+scenario = Scenario(
+    robots=tuple(Robot(i, 1.0) for i in range(n)),
+    initial=as_configuration(positions),
+    caps=Capabilities(multiplicity_detection=True, localization_knowledge=True),
+    scheduler=SchedulerSpec("full_synchronous"),
+    protocol=ProtocolSpec("stabilized_pattern", pattern=pattern),
+    seed=11,
+    max_steps=10_000,
+    stop_rule="pattern_reached",
+)
 
-reached = 0
-lengths = []
-for seed in range(200):
-    pts = rng.uniform(-2, 2, (n - 1, 2))
-    positions = [tuple(pts[0])] * 2 + [tuple(p) for p in pts[1:]]  # one stacked pair
-    scenario = Scenario(
-        robots=tuple(Robot(i, 1.0) for i in range(n)),
-        initial=as_configuration(positions),
-        caps=Capabilities(multiplicity_detection=True, localization_knowledge=True),
-        scheduler=SchedulerSpec("full_synchronous"),
-        protocol=ProtocolSpec("stabilized_pattern", pattern=pattern),
-        seed=seed,
-        max_steps=10_000,
-        stop_rule="pattern_reached",
-    )
-    trace = run(scenario)
-    if trace.status == "stopped:pattern_reached":
-        reached += 1
-        lengths.append(len(trace.records))
-
-print(f"target pattern: {[tuple(p) for p in pattern]}")
-print(f"reached exactly in {reached}/200 runs")
-print(f"instants: mean {np.mean(lengths):.1f}, worst {max(lengths)}")
-
-# One run in detail, showing the final landing.
 trace = run(scenario)
-print("\nfinal configuration of the last run:")
+print(f"target pattern: {[tuple(p) for p in pattern]}")
+print("start:", [(round(x, 3), round(y, 3)) for x, y in positions])
+print(f"{trace.status} after {len(trace.records)} instants")
+print("\nfinal configuration:")
 for p in sorted(trace.records[-1].config):
     print(f"  {tuple(p)}")

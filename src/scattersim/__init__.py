@@ -10,8 +10,6 @@ co-location demonstration.
 from .geometry import (
     Point,
     VoronoiCell,
-    VoronoiDiagram,
-    compute_voronoi,
     distance,
     own_cell,
     sample_in_cell,

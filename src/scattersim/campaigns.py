@@ -5,7 +5,8 @@ and a seed that returns a list of ``Check`` records. ``scattersim verify``
 prints them and ``tests/test_acceptance.py`` asserts them, so both run the
 same scenarios from the same seeds:
 
-- ``voronoi_oracle``: cell location against the nearest-site argmin
+- ``voronoi_oracle``: cell location against the nearest-site argmin; a
+  query lies in the first site's ``own_cell`` that contains it
 - ``closure``: once all-distinct, a scatter run never re-collides
 - ``separation_rate``, ``separation``: a stacked pair separates at rate
   3/4 per active instant under full synchrony and 1/2 under round robin,
@@ -33,7 +34,7 @@ import numpy as np
 from . import analysis
 from .engine import Scenario, run, trial_sources
 from .errors import ScatterSimError
-from .geometry import Point, compute_voronoi, distance
+from .geometry import Point, distance, own_cell
 from .protocols import DETERMINISTIC_RULES, ProtocolSpec
 from .scheduler import SchedulerSpec, audit_fairness
 from .world import Capabilities, Robot, as_configuration
@@ -111,15 +112,16 @@ def _rate_check(name: str, rate: float, target: float, note: str = "") -> Check:
 
 
 def voronoi_oracle(queries: int, seed: int) -> list[Check]:
-    """Locate query points in random 2..10-site diagrams; queries closer
-    than 1e-9 to a bisector are skipped and not counted."""
+    """Locate query points among random 2..10 sites, each in the first
+    site's ``own_cell`` that contains it; queries closer than 1e-9 to a
+    bisector are skipped and not counted."""
     rng = np.random.default_rng(seed)
     mismatches = 0
     checked = 0
     while checked < queries:
         k = int(rng.integers(2, 11))
         sites = [Point(float(x), float(y)) for x, y in rng.uniform(-10, 10, size=(k, 2))]
-        diagram = compute_voronoi(sites)
+        cells = [own_cell(s, sites) for s in sites]
         for qx, qy in rng.uniform(-12, 12, size=(min(200, queries - checked), 2)):
             q = Point(float(qx), float(qy))
             d = [distance(q, s) for s in sites]
@@ -132,7 +134,7 @@ def voronoi_oracle(queries: int, seed: int) -> list[Check]:
             if clearance < 1e-9:
                 continue
             checked += 1
-            mismatches += diagram.locate(q) != nearest
+            mismatches += next((i for i, c in enumerate(cells) if c.contains(q)), None) != nearest
     detail = f"{checked} queries, {mismatches} mismatches against nearest-site argmin"
     return [Check("voronoi-oracle", mismatches == 0, detail)]
 

@@ -5,10 +5,6 @@ class ScatterSimError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DistinctSitesError(ScatterSimError, ValueError):
-    """Voronoi input was empty or contained duplicate sites."""
-
-
 class GeometryError(ScatterSimError):
     """A geometric routine could not produce a valid result."""
 

@@ -6,7 +6,9 @@ everywhere: a point on a bisector belongs to no cell. Position equality
 means bit-equal coordinates; nothing in this module ever snaps or rounds.
 
 The cell kernel is :func:`own_cell`, which builds a :class:`VoronoiCell`
-on numpy columns, and :func:`sample_in_cell`, which casts rays in one.
+on numpy columns, and :func:`sample_in_cell`, which casts rays in one. A
+robot needs only its own cell, so no whole diagram is built: the oracle
+campaign (C1) locates a query through each site's ``own_cell``.
 The scatter draw, :func:`scatter_target`, is ``own_cell`` then
 ``sample_in_cell`` from the site itself, and the form of its points picks
 its route: an array goes through those two functions on numpy columns; a
@@ -88,7 +90,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DistinctSitesError, GeometryError
+from .errors import ContractViolationError, GeometryError
 
 TWO_PI = 2.0 * math.pi
 
@@ -130,17 +132,6 @@ class VoronoiCell:
     normals: np.ndarray
     offsets: np.ndarray
 
-    @property
-    def bounded(self) -> bool:
-        """Whether the region has finite area: its normals fit in no closed
-        half-plane (max angular gap below pi). Redundant rows leave the
-        recession cone, and so the answer, unchanged."""
-        if self.normals.shape[0] < 3:
-            return False
-        ang = np.sort(np.arctan2(self.normals[:, 1], self.normals[:, 0]))
-        widest = max(float(np.diff(ang).max()), float(ang[0] + TWO_PI - ang[-1]))
-        return widest < math.pi - 1e-12
-
     def contains(self, q: Sequence[float]) -> bool:
         """Strict membership test; boundary points are outside."""
         k = self.normals.shape[0]
@@ -160,21 +151,6 @@ def _inside_rows(rows, x: float, y: float) -> bool:
 def _inside_columns(nx: np.ndarray, ny: np.ndarray, offsets: np.ndarray, x: float, y: float) -> bool:
     """Strict membership of (x, y) on the numpy columns."""
     return bool((nx * x + ny * y < offsets).all())
-
-
-@dataclass(frozen=True)
-class VoronoiDiagram:
-    """One open cell per distinct site; cells[i] belongs to sites[i]."""
-
-    sites: tuple[Point, ...]
-    cells: tuple[VoronoiCell, ...]
-
-    def locate(self, q: Sequence[float]) -> int | None:
-        """Index of the cell strictly containing ``q``, or None on a boundary."""
-        for i, cell in enumerate(self.cells):
-            if cell.contains(q):
-                return i
-        return None
 
 
 def _site_rows(position: Point, occupied: Sequence[Point]):
@@ -226,28 +202,6 @@ def own_cell(position: Point, occupied: Sequence[Point] | np.ndarray) -> Voronoi
     normals = arr - (sx, sy)
     offsets = 0.5 * (arr[:, 0] ** 2 + arr[:, 1] ** 2 - (sx * sx + sy * sy))
     return VoronoiCell(site=position, normals=normals, offsets=offsets)
-
-
-def compute_voronoi(sites: Sequence[Point]) -> VoronoiDiagram:
-    """Build the diagram of pairwise distinct sites.
-
-    Raises
-    ------
-    DistinctSitesError
-        If the input is empty or contains an exact duplicate. Callers
-        must collapse co-located robots to one site before calling.
-    """
-    pts = tuple(Point(float(x), float(y)) for x, y in sites)
-    if not pts:
-        raise DistinctSitesError("at least one site is required")
-    for p in pts:
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise DistinctSitesError(f"non-finite site {p}")
-    if len(set(pts)) != len(pts):
-        raise DistinctSitesError("sites must be pairwise distinct")
-    occupied = np.asarray(pts, dtype=float)
-    cells = tuple(own_cell(p, occupied) for p in pts)
-    return VoronoiDiagram(sites=pts, cells=cells)
 
 
 def sample_in_cell(cell: VoronoiCell, current: Point, sigma: float, rng) -> Point:

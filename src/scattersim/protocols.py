@@ -8,6 +8,7 @@ the robot's sigma.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from statistics import fmean
@@ -173,7 +174,7 @@ def deterministic_rule_step(view: View, rule: str = "unit_x") -> Point:
     return deterministic_rule(rule)(view)
 
 
-class Protocol:
+class Protocol(ABC):
     """A decision rule.
 
     ``decide`` must be pure given its arguments and draw randomness only
@@ -188,10 +189,9 @@ class Protocol:
     caps the move at sigma along the segment toward it.
     """
 
-    kind = "?"
-
+    @abstractmethod
     def decide(self, view: View, caps: Capabilities, sigma: float, rng) -> Point:
-        raise NotImplementedError
+        """The robot's target, in its local frame, from ``view``."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,6 @@ class KindProtocol(Protocol):
 
     def __init__(self, spec: ProtocolSpec):
         self.spec = spec
-        self.kind = spec.kind
         entry = KINDS[spec.kind]
         self._rule = entry.rule
         self.plugin = None if entry.plugin is None else KindProtocol(replace(spec, kind=entry.plugin))

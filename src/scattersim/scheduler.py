@@ -9,6 +9,7 @@ active at least once within every window of consecutive instants.
 from __future__ import annotations
 
 import numbers
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 from .errors import ScenarioValidationError
@@ -19,16 +20,14 @@ SCHEDULER_KINDS = ("full_synchronous", "bernoulli", "round_robin", "bounded_dela
 _BOUNDED_DELAY_P = 0.5
 
 
-class Scheduler:
-    kind = "?"
-
+class Scheduler(ABC):
+    @abstractmethod
     def next_activation(self, n: int, rng) -> frozenset[int]:
-        raise NotImplementedError
+        """The robots active at the next instant: a non-empty subset of
+        ``range(n)``."""
 
 
 class FullSynchronous(Scheduler):
-    kind = "full_synchronous"
-
     def next_activation(self, n, rng):
         return frozenset(range(n))
 
@@ -41,8 +40,6 @@ class Bernoulli(Scheduler):
     The doubles are compared in Python: at the small n of most campaigns
     a numpy mask costs more than the comparisons it vectorizes.
     """
-
-    kind = "bernoulli"
 
     def __init__(self, p: float):
         self.p = p
@@ -58,8 +55,6 @@ class Bernoulli(Scheduler):
 class RoundRobin(Scheduler):
     """Singletons cycling by ordinal."""
 
-    kind = "round_robin"
-
     def __init__(self):
         self._t = 0
 
@@ -72,8 +67,6 @@ class RoundRobin(Scheduler):
 class BoundedDelay(Scheduler):
     """Random subsets, with any robot idle for window-1 instants forced in,
     so every window of `window` consecutive instants activates everyone."""
-
-    kind = "bounded_delay"
 
     def __init__(self, window: int):
         self.window = window

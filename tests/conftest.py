@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -81,6 +82,27 @@ def make_scenario(
         max_steps=max_steps,
         stop_rule=stop_rule,
     )
+
+
+@pytest.fixture(autouse=True)
+def wall_clock_limit():
+    """Fail a test that runs past 120 s, far above any test's run time,
+    under its own name instead of stalling the suite. Skipped where there
+    is no SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 120-s wall-clock limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -18,11 +18,16 @@ from scattersim import (
     verify_decay_bound,
     wilson_interval,
 )
-from scattersim import analysis, campaigns
-from scattersim.analysis import PAIR_PERSISTENCE_BOUND, GatherSummary, _pair_campaign
+from scattersim import analysis, campaigns, protocols
+from scattersim.analysis import (
+    PAIR_PERSISTENCE_BOUND,
+    GatherSummary,
+    ImpossibilityVerdict,
+    _pair_campaign,
+)
 from scattersim.engine import TRIAL_BLOCK, RecordingSource, StepRecord, Trace
 from scattersim.errors import NotDeterministicError, ScenarioValidationError
-from scattersim.protocols import DETERMINISTIC_RULES, ProtocolSpec
+from scattersim.protocols import DETERMINISTIC_RULES, Protocol, ProtocolSpec
 
 from conftest import make_scenario
 
@@ -183,6 +188,33 @@ def test_impossibility_all_rules():
         rule = ProtocolSpec("deterministic_rule", rule=name).build()
         verdict = impossibility_demo(rule, steps=100, n=5, seed=9)
         assert verdict.passed, name
+
+
+class Drifting(Protocol):
+    """Coin-free but impure: each call returns a new target."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def decide(self, view, caps, sigma, rng):
+        self.calls += 1
+        return Point(0.1 * self.calls, 0.0)
+
+
+def test_impossibility_reports_an_impure_rule_separating():
+    """A rule that draws nothing yet answers each call anew splits the
+    swarm at the first instant; the harness reports it, not a pass."""
+    verdict = impossibility_demo(Drifting(), steps=100, n=3)
+    assert verdict == ImpossibilityVerdict(False, 1, 1)
+
+
+def test_pair_campaign_refuses_a_pair_that_never_separates(monkeypatch):
+    """Under a scatter rule that always stays the pair never separates, so
+    the campaign raises at its instant budget instead of counting."""
+    monkeypatch.setattr(protocols, "scatter_step", lambda view, sigma, rng: view.self_pos)
+    monkeypatch.setattr(analysis, "PAIR_INSTANT_BUDGET", 20)
+    with pytest.raises(RuntimeError, match="^pair did not separate within the instant budget$"):
+        _pair_campaign(SchedulerSpec("full_synchronous"), 3, 0)
 
 
 def test_impossibility_rejects_coin_draws():

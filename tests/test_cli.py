@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -396,3 +397,16 @@ def test_readme_example_files_run_replay_and_export(name, tmp_path, capsys):
     assert f"instants={summary['instants']}" == instants and f"status={summary['status']}" == status
     assert 1 <= int(summary["instants"]) <= 50
     assert load_trace(trace).scenario.max_steps == 50
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [(["run", "{scn}", "--out", "{tmp}/demo.trace"], 0), (["run", "{tmp}/missing.scn"], 2)],
+    ids=["ok", "missing"],
+)
+def test_console_main_exits_with_the_status_of_main(monkeypatch, tmp_path, scenario_file, args, status):
+    argv = [arg.format(scn=scenario_file, tmp=tmp_path) for arg in args]
+    monkeypatch.setattr(sys, "argv", ["scattersim"] + argv)
+    with pytest.raises(SystemExit) as done:
+        cli.console_main()
+    assert done.value.code == status

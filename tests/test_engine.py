@@ -53,8 +53,6 @@ from conftest import ScriptedSource, make_scenario
 
 
 class FixedTarget(Protocol):
-    kind = "fixed"
-
     def __init__(self, target):
         self.target = target
 

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 from scattersim import (
     Point,
     geometry,
-    compute_voronoi,
     distance,
     own_cell,
     sample_in_cell,
     world,
 )
-from scattersim.errors import ContractViolationError, DistinctSitesError, GeometryError
+from scattersim.errors import ContractViolationError, GeometryError
 from scattersim.world import View
 
 from conftest import bisector_clearance, nearest_site
@@ -34,50 +33,40 @@ def test_distance_symmetric_and_zero_iff_equal(rng):
         assert (distance(p, q) == 0.0) == (p == q)
 
 
+def cells_of(sites):
+    """Each site's open cell among ``sites``, in their order."""
+    return [own_cell(s, sites) for s in sites]
+
+
+def locate(cells, q):
+    """Index of the cell strictly containing ``q``, or None on a bisector."""
+    return next((i for i, cell in enumerate(cells) if cell.contains(q)), None)
+
+
 def test_single_site_is_whole_plane():
-    diagram = compute_voronoi([Point(0, 0)])
-    cell = diagram.cells[0]
+    cell = own_cell(Point(0, 0), [Point(0, 0)])
     assert cell.normals.shape == (0, 2)
-    assert not cell.bounded
     for q in [(0.1, 0), (1e6, -1e6), (-3, 7)]:
         assert cell.contains(q)
 
 
 def test_two_sites_perpendicular_bisector():
-    diagram = compute_voronoi([Point(0, 0), Point(2, 0)])
-    left = diagram.cells[0]
+    cells = cells_of([Point(0, 0), Point(2, 0)])
+    left = cells[0]
     assert left.contains((0.9, 0))
     assert not left.contains((1.0, 0))  # boundary excluded
-    assert not diagram.cells[1].contains((1.0, 0))
-    assert diagram.locate((1.0, 0)) is None
-    assert not left.bounded
+    assert not cells[1].contains((1.0, 0))
+    assert locate(cells, (1.0, 0)) is None
 
 
 def test_three_sites_matches_distance_oracle():
     sites = [Point(0, 0), Point(4, 0), Point(0, 4)]
-    diagram = compute_voronoi(sites)
     q = (1.0, 1.0)
     # independent oracle: distances sqrt(2), sqrt(10), sqrt(10)
     d = [distance(Point(*q), s) for s in sites]
     assert d == [math.sqrt(2), math.sqrt(10), math.sqrt(10)]
     assert nearest_site(q, sites) == 0
-    assert diagram.locate(q) == 0
-
-
-def test_duplicate_sites_rejected():
-    with pytest.raises(DistinctSitesError):
-        compute_voronoi([Point(0, 0), Point(0, 0), Point(1, 1)])
-
-
-def test_empty_input_rejected():
-    with pytest.raises(DistinctSitesError):
-        compute_voronoi([])
-
-
-def test_non_finite_site_rejected():
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(DistinctSitesError, match="^non-finite site"):
-            compute_voronoi([Point(0.0, 0.0), Point(1.0, bad)])
+    assert locate(cells_of(sites), q) == 0
 
 
 def test_halfplane_membership_examples():
@@ -91,12 +80,12 @@ def test_membership_matches_oracle_randomized(rng):
     while checked < 10_000:
         k = int(rng.integers(3, 11))
         sites = [Point(float(x), float(y)) for x, y in rng.uniform(-10, 10, (k, 2))]
-        diagram = compute_voronoi(sites)
+        cells = cells_of(sites)
         for qx, qy in rng.uniform(-12, 12, (400, 2)):
             if bisector_clearance((qx, qy), sites) < 1e-9:
                 continue
             checked += 1
-            assert diagram.locate((qx, qy)) == nearest_site((qx, qy), sites)
+            assert locate(cells, (qx, qy)) == nearest_site((qx, qy), sites)
     assert checked >= 10_000
 
 
@@ -104,11 +93,11 @@ def test_cells_are_disjoint_on_samples(rng):
     for _ in range(20):
         k = int(rng.integers(2, 9))
         sites = [Point(float(x), float(y)) for x, y in rng.uniform(-5, 5, (k, 2))]
-        diagram = compute_voronoi(sites)
-        for i, cell in enumerate(diagram.cells):
+        cells = cells_of(sites)
+        for i, cell in enumerate(cells):
             for _ in range(25):
                 p = sample_in_cell(cell, cell.site, 2.0, rng)
-                hits = [j for j, c in enumerate(diagram.cells) if c.contains(p)]
+                hits = [j for j, c in enumerate(cells) if c.contains(p)]
                 assert hits == [i]
 
 
@@ -132,11 +121,11 @@ def test_membership_similarity_invariant(data, angle, scale, tx, ty):
     def sim(p):
         return Point(scale * (c * p[0] - s * p[1]) + tx, scale * (s * p[0] + c * p[1]) + ty)
 
-    before = compute_voronoi(sites).locate(q)
+    before = locate(cells_of(sites), q)
     moved_sites = [sim(p) for p in sites]
     if len(set(moved_sites)) != k:
         return
-    after = compute_voronoi(moved_sites).locate(sim(Point(*q)))
+    after = locate(cells_of(moved_sites), sim(Point(*q)))
     assert before == after
 
 
@@ -310,9 +299,8 @@ def test_sample_postconditions_randomized(rng):
         sites = [Point(float(x), float(y)) for x, y in rng.uniform(-5, 5, (k, 2))]
         if len(set(sites)) != k:
             continue
-        diagram = compute_voronoi(sites)
         sigma = float(rng.uniform(0.01, 20.0))
-        for cell in diagram.cells:
+        for cell in cells_of(sites):
             for _ in range(20):
                 p = sample_in_cell(cell, cell.site, sigma, rng)
                 assert cell.contains(p)
@@ -321,7 +309,7 @@ def test_sample_postconditions_randomized(rng):
 
 
 def test_sample_single_robot_unbounded(rng):
-    cell = compute_voronoi([Point(0, 0)]).cells[0]
+    cell = own_cell(Point(0, 0), [Point(0, 0)])
     for _ in range(500):
         p = sample_in_cell(cell, Point(0, 0), 1.0, rng)
         assert 0.0 < distance(Point(0, 0), p) <= 1.0
@@ -346,28 +334,6 @@ def test_sample_from_point_not_in_cell_rejected(rng):
         sample_in_cell(cell, Point(5, 0), 1.0, rng)
     with pytest.raises(ContractViolationError):
         sample_in_cell(cell, Point(0, 0), 0.0, rng)
-
-
-def test_bounded_iff_not_a_hull_vertex(rng):
-    scipy_spatial = pytest.importorskip("scipy.spatial")
-    for _ in range(300):
-        k = int(rng.integers(3, 15))
-        pts = rng.uniform(-10, 10, (k, 2))
-        diagram = compute_voronoi([Point(float(x), float(y)) for x, y in pts])
-        hull = set(scipy_spatial.ConvexHull(pts).vertices.tolist())
-        for i, cell in enumerate(diagram.cells):
-            assert cell.bounded == (i not in hull), f"cell {i} of {pts.tolist()}"
-
-
-def test_bounded_flag():
-    ring = [Point(0, 0)] + [
-        Point(2 * math.cos(a), 2 * math.sin(a)) for a in np.linspace(0, 2 * math.pi, 7)[:-1]
-    ]
-    diagram = compute_voronoi(ring)
-    assert diagram.cells[0].bounded  # surrounded center
-    assert not diagram.cells[1].bounded  # hull site
-    strip = compute_voronoi([Point(0, 0), Point(-2, 0), Point(2, 0)])
-    assert not strip.cells[0].bounded  # strip between two parallel bisectors
 
 
 def _cell_then_sample(position, occupied, sigma, rng):

@@ -51,8 +51,6 @@ def view_of(points, counts=None, self_pos=None):
 class SentinelRule(Protocol):
     """Marks which branch a wrapper took."""
 
-    kind = "sentinel"
-
     def decide(self, view, caps, sigma, rng):
         return Point(99.0, 99.0)
 
@@ -303,8 +301,9 @@ def test_reference_gather_phase_two_pulls_farthest():
 
 
 def test_reference_gather_gathered_is_fixed_point():
-    view = view_of([(2, 2)], counts=(4,))
-    assert reference_gather_step(view, CAPS_FULL, 1.0) == Point(2, 2)
+    for counts in ((4,), (1,)):  # a stack, and a lone robot
+        view = view_of([(2, 2)], counts=counts)
+        assert reference_gather_step(view, CAPS_FULL, 1.0) == Point(2, 2)
 
 
 def test_reference_gather_requires_capabilities():
