@@ -72,9 +72,8 @@ def cmd_export(args) -> int:
     if args.format == "csv-positions":
         lines.append(_CSV_POSITIONS_HEADER)
         lines.append("t,robot,x,y")
-        # Each robot's "x,y" text, rendered when it holds a new Point object;
-        # keyed by identity, since 0.0 == -0.0 (load_trace keeps a robot's
-        # object while its position repeats).
+        # Each robot's "x,y" text, rendered when it holds a new Point object
+        # (keyed by identity, since 0.0 == -0.0; load_trace gives a pair one object).
         held = [None] * trace.n
         texts = [""] * trace.n
         for rec in trace.records:

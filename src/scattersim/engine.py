@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from itertools import chain
 
@@ -536,34 +535,20 @@ def write_trace(trace: Trace, path) -> None:
         fh.write(json.dumps({"status": trace.status}) + "\n")
 
 
-def _json_int(text: str):
-    """A JSON integer token as ``json`` reads it, except ``-0``: that is
-    how ``_f17`` renders the float ``-0.0``, so it loads as ``-0.0``."""
-    return -0.0 if text == "-0" else int(text)
+class _Parsed(dict):
+    """JSON number texts and their values, each parsed once by ``parse``;
+    ``-0``, how ``_f17`` renders the float ``-0.0``, loads as ``-0.0``."""
 
+    def __init__(self, parse):
+        self.parse = parse
 
-_RECORD_DECODER = json.JSONDecoder(parse_int=_json_int)
-# The JSON integer token -0, a -0 that no digit, fraction or exponent
-# follows; a record line without one needs no hook.
-_MINUS_ZERO = re.compile(r"-0(?![.\deE])")
-
-
-def _positions(pairs: list, before_pairs: list, before: Configuration) -> Configuration:
-    """The points of a record's ``positions`` row. A robot whose pair
-    equals its pair in the record before keeps that record's ``Point``,
-    unless a coordinate is zero: ``0`` and ``-0`` are equal, but their
-    signs differ. Equal non-zero values give the same double."""
-    points = []
-    for i, pair in enumerate(pairs):
-        x, y = pair
-        if x and y and i < len(before) and pair == before_pairs[i]:
-            points.append(before[i])
-        else:
-            points.append(Point(float(x), float(y)))
-    return tuple(points)
+    def __missing__(self, text):
+        value = self[text] = -0.0 if text == "-0" else self.parse(text)
+        return value
 
 
 _INT, _NUMBER, _ARRAY = {int}, {int, float}, {list}
+_PAIRS = "targets and positions must be arrays of [x, y] number pairs"
 
 
 def _all_of(values, types: set) -> bool:
@@ -572,7 +557,23 @@ def _all_of(values, types: set) -> bool:
     return set(map(type, values)) <= types
 
 
-def _record(obj, pairs: list, before: Configuration) -> StepRecord:
+def _points(row: list, points: dict) -> tuple:
+    """The ``Point`` of each pair of ``row``: the one ``points`` holds under
+    the ids of the pair's two numbers (which :func:`load_trace`'s tables
+    keep alive, so no id passes to another value), else a new one."""
+    got = []
+    for x, y in row:
+        key = id(x), id(y)
+        p = points.get(key)
+        if p is None:
+            if type(x) not in _NUMBER or type(y) not in _NUMBER:
+                raise ValueError(_PAIRS)
+            p = points[key] = Point(float(x), float(y))
+        got.append(p)
+    return tuple(got)
+
+
+def _record(obj, points: dict) -> StepRecord:
     """The record in the decoded line ``obj``. Each field must have the
     JSON type that :func:`write_trace` writes, else ValueError: ``t`` an
     integer, ``active`` an array of integers, ``coins`` an array of integer
@@ -585,17 +586,19 @@ def _record(obj, pairs: list, before: Configuration) -> StepRecord:
         raise ValueError("active must be an array of integers")
     if type(coins) is not list or not _all_of(coins, _ARRAY) or not _all_of(chain(*coins), _INT):
         raise ValueError("coins must be an array of integer arrays")
-    # A pair that is not an array yields strings (an object's keys, a
-    # string's characters), fails to iterate, or fails to unpack.
+    # _points checks the numbers of array pairs; any other pair yields
+    # strings (an object's keys, a string's characters) or fails.
     rows = (targets, positions)
-    if not _all_of(rows, _ARRAY) or not _all_of(chain(*targets, *positions), _NUMBER):
-        raise ValueError("targets and positions must be arrays of [x, y] number pairs")
+    if not _all_of(rows, _ARRAY) or (
+        not _all_of(chain(*rows), _ARRAY) and not _all_of(chain(*targets, *positions), _NUMBER)
+    ):
+        raise ValueError(_PAIRS)
     return StepRecord(
         t=t,
         active=tuple(active),
         coins=tuple(map(tuple, coins)),
-        targets=tuple(Point(float(x), float(y)) for x, y in targets),
-        config=_positions(positions, pairs, before),
+        targets=_points(targets, points),
+        config=_points(positions, points),
     )
 
 
@@ -612,11 +615,10 @@ def load_trace(path) -> Trace:
     :class:`ScenarioValidationError` is raised as it is.
 
     Every coordinate keeps its bits, the sign of a zero included: a
-    record's ``-0`` loads as ``-0.0``; a line without that token is decoded
-    with no hook. A robot whose position pair repeats its pair in the
-    record before, with no zero coordinate, keeps that record's ``Point``
-    object, as the records of :func:`run` do; every other pair is parsed
-    into a new ``Point``."""
+    record's ``-0`` loads as ``-0.0``. Each number text is parsed once per
+    call, and each pair of texts becomes one ``Point`` that every position
+    and target holding it shares, in any record. :func:`write_trace` gives
+    each double one text, so ``0`` and ``-0`` never share an object."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
@@ -654,15 +656,14 @@ def load_trace(path) -> Trace:
         raise TraceFormatError("truncated trace: missing status trailer")
     n = scenario.n
     records = []
-    pairs: list = []
-    config: Configuration = ()
+    floats, ints = _Parsed(float), _Parsed(int)
+    decode = json.JSONDecoder(parse_float=floats.__getitem__, parse_int=ints.__getitem__).decode
+    points: dict = {}
     for k, ln in enumerate(lines[1:-1]):
         try:
-            obj = _RECORD_DECODER.decode(ln) if _MINUS_ZERO.search(ln) else json.loads(ln)
-            rec = _record(obj, pairs, config)
+            rec = _record(decode(ln), points)
         except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             raise TraceFormatError(f"record {k}: bad record line: {exc}") from exc
-        pairs, config = obj["positions"], rec.config
         if rec.t != k:
             raise TraceFormatError(f"record {k}: t = {rec.t}, expected {k}")
         if len(rec.config) != n:

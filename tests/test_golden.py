@@ -2,7 +2,8 @@
 ``verify`` output.
 
 Each case re-runs a fixed scenario and compares the written trace with the
-file in ``tests/golden/`` byte for byte; each pinned export runs
+file in ``tests/golden/`` byte for byte, as it does the file's own trace
+loaded and written back; each pinned export runs
 ``scattersim export`` on a committed trace and compares the CSV file it
 writes; each pinned suite re-runs
 ``scattersim verify`` at a small trial count and compares its stdout,
@@ -191,7 +192,10 @@ def test_golden_trace_bytes(name, tmp_path):
     fresh = tmp_path / golden.name
     write_case(name, fresh)
     assert fresh.read_bytes() == golden.read_bytes()
-    assert replay(load_trace(golden)).passed
+    loaded = load_trace(golden)
+    assert replay(loaded).passed
+    write_trace(loaded, fresh)
+    assert fresh.read_bytes() == golden.read_bytes()
 
 
 def test_golden_corpus_covers_both_cell_paths():

@@ -2,7 +2,7 @@
 
 ``write_trace`` and ``export --format csv-positions`` render a Point
 object once and reuse its text wherever the object recurs, and
-``load_trace`` keeps a robot's Point while its pair repeats. The reference
+``load_trace`` builds one Point per distinct pair of number texts. The reference
 loops below render every coordinate of every record on its own, as
 17-significant-digit ``format`` calls; the property compares both outputs
 with them byte for byte over random traces, and checks that write then
@@ -168,6 +168,10 @@ def test_trace_io_matches_the_reference_renderers(trace):
         for a, b in zip(before.config, rec.config):
             if a.x and a.y and (a.x, a.y) == (b.x, b.y):
                 assert a is b
+    # Each double has one text, so points with the same bits, anywhere in
+    # the trace, are one object, and points with other bits are not.
+    points = [p for rec in loaded.records for p in rec.config + rec.targets]
+    assert len({id(p) for p in points}) == len(set(bits(points)))
 
 
 def signed_zero_run():
@@ -207,6 +211,52 @@ def test_load_takes_the_sign_of_a_zero_that_alone_changes(tmp_path):
     trace = Trace(scenario, records, "budget_exhausted")
     loaded = check_roundtrip(trace, tmp_path)
     assert [bits(rec.config) for rec in loaded.records] == [bits(c) for c in configs]
+
+
+def test_load_gives_each_pair_text_one_point(tmp_path):
+    """A pair's text loads as one Point wherever it stands: in positions
+    and targets, in records that are not adjacent, and for points that were
+    distinct objects when written. A pair whose text differs only in the
+    sign of a zero loads as another Point."""
+    a, b, z, o = (1.5, 2.5), (3.0, 0.0), (-0.0, 0.0), (0.0, 0.0)
+    scenario = make_scenario([a, b], max_steps=10)
+    configs = [(a, b), (b, z), (a, b), (z, a)]
+    targets = [(b,), (a,), (z,), (o,)]
+    records = tuple(
+        StepRecord(t, (1,), ((),), tuple(Point(*p) for p in targets[t]), tuple(Point(*p) for p in c))
+        for t, c in enumerate(configs)
+    )
+    loaded = check_roundtrip(Trace(scenario, records, "budget_exhausted"), tmp_path)
+    one = {}
+    for rec in loaded.records:
+        for p in rec.config + rec.targets:
+            assert one.setdefault(p.x.hex() + p.y.hex(), p) is p
+    assert len(one) == 4
+    first, second, third, last = loaded.records
+    assert first.config[1] is first.targets[0] is third.config[1]
+    assert second.config[1] is third.targets[0] is last.config[0]
+    assert last.targets[0] is not last.config[0] and last.targets[0] == last.config[0]
+
+
+def test_load_keeps_every_bit_of_repeated_slot_values(tmp_path):
+    """Consecutive records that hold ``0``, ``-0``, ``0.0``, ``-0.0``, ``1``,
+    ``1.0`` and large integers in the same slots, written by hand, load
+    bit for bit. Neither an equal value with another text nor a number
+    freed by the time the next record is read may hand a slot its Point."""
+    values = ["0", "-0", "0.0", "-0.0", "1", "1.0", "123456789012", "987654321098"]
+    texts = values + values[::-1] + values[6:] * 3
+    path = tmp_path / "t.trace"
+    write_trace(run(make_scenario([(1, 2), (3, 4)], max_steps=1)), path)
+    header, *_, trailer = path.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for t, v in enumerate(texts):
+        row = f"[[{v},{v}],[{v},1.5]]"
+        lines.append(f'{{"t":{t},"active":[0],"coins":[[]],"targets":[[{v},{v}]],"positions":{row}}}')
+    path.write_text("\n".join([*lines, trailer]) + "\n", encoding="utf-8")
+    for rec, v in zip(load_trace(path).records, texts):
+        x = float(v)
+        assert bits(rec.targets) == bits([Point(x, x)])
+        assert bits(rec.config) == bits([Point(x, x), Point(x, 1.5)])
 
 
 def test_load_refuses_a_positions_row_that_is_not_an_array(tmp_path):
@@ -285,8 +335,8 @@ def test_replay_diverges_on_any_changed_sign_of_a_zero():
     ids=["first", "last", "none"],
 )
 def test_a_minus_zero_loads_as_minus_zero_wherever_it_stands(config, token, tmp_path):
-    """A record line is decoded with no hook unless it holds the integer
-    token -0; one that does keeps the sign, spaced out by hand too."""
+    """The integer token -0 loads as -0.0 wherever it stands in a row,
+    spaced out by hand too; a -0 that digits follow is another number."""
     trace = Trace(
         make_scenario(list(config), max_steps=10),
         (StepRecord(0, (0, 1), ((), ()), config, config),),

@@ -6,21 +6,18 @@ Run from anywhere:
 
 For each module it prints the ``wc -l`` count and the code lines: lines
 holding a token other than a comment, with blank lines and docstrings
-excluded. A docstring is what ``tools/linecov.py`` skips: a string
-expression that opens a module, class or function body.
+excluded. A docstring is what ``tools/linecov.py`` skips too (see
+``tools/docstrings.py``).
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
-from linecov import _is_docstring
-
-sys.settrace(None)  # importing linecov starts its tracer; nothing here runs src/
+from docstrings import is_docstring
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scattersim"
 _LAYOUT = {
@@ -42,7 +39,7 @@ def code_lines(source: str) -> int:
     tree = ast.parse(source)
     for parent in ast.walk(tree):
         for node in ast.iter_child_nodes(parent):
-            if _is_docstring(node, parent):
+            if is_docstring(node, parent):
                 lines.difference_update(range(node.lineno, node.end_lineno + 1))
     return len(lines)
 

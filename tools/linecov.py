@@ -19,6 +19,8 @@ import ast
 import sys
 from pathlib import Path
 
+from docstrings import is_docstring
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 _ROOT = str(SRC)
 
@@ -62,16 +64,6 @@ def _all_code(code):
             yield from _all_code(const)
 
 
-def _is_docstring(node, parent) -> bool:
-    return (
-        isinstance(parent, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
-        and parent.body[0] is node
-        and isinstance(node, ast.Expr)
-        and isinstance(node.value, ast.Constant)
-        and isinstance(node.value.value, str)
-    )
-
-
 def statements(path: Path):
     """``(first line, lines)`` of each statement of ``path`` whose own
     lines hold code, docstrings excluded."""
@@ -82,7 +74,7 @@ def statements(path: Path):
     tree = ast.parse(source)
     for parent in ast.walk(tree):
         for node in ast.iter_child_nodes(parent):
-            if not isinstance(node, ast.stmt) or _is_docstring(node, parent):
+            if not isinstance(node, ast.stmt) or is_docstring(node, parent):
                 continue
             first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
             body = getattr(node, "body", None)
