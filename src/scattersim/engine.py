@@ -11,16 +11,23 @@ instant builds that view once and hands each such robot a copy that
 differs only in its own position; robots with a private frame get a view
 of their own.
 
-Co-located identity-frame robots decide once. Two such robots on the same
-position object see the same view, and a rule is pure and draws only
-through its source (the :class:`Protocol` contract), so a decision that
-drew nothing is a function of the view and sigma alone. An instant keeps
-the target of each such decision under (id of the position object,
-sigma); a later active robot on that object with that sigma takes it with
-no coins, and no view is built and no rule called for it. Keys are object
-identities, never point equality, so ``(0.0, y)`` and ``(-0.0, y)`` never
-share a decision and no bit of a target can change. A decision that drew
-(every scatter coin) and a private frame's decision are never reused.
+Co-located identity-frame robots decide once, and so does a robot whose
+configuration no robot changed. Two such robots on the same position
+object see the same view, and a rule is pure and draws only through its
+source (the :class:`Protocol` contract), so a decision that drew nothing
+is a function of the view and sigma alone. The target of each such
+decision is kept under (id of the position object, sigma); a later active
+robot on that object with that sigma takes it with no coins, and no view
+is built and no rule called for it. An instant in which every active
+robot keeps its position object hands back the configuration object it
+was given, and :func:`run` keeps the table from one instant to the next
+until the configuration is another object, so a swarm that has gathered
+and stays decides once per position object for as long as it stays. Keys
+are object identities, never point equality, so ``(0.0, y)`` and
+``(-0.0, y)`` never share a decision and no bit of a target can change. A
+decision that drew (every scatter coin) and a private frame's decision
+are never reused. :func:`step`, :func:`replay`'s comparison and the
+campaigns that call ``_advance`` keep no table between calls.
 
 Randomness discipline: one root generator seeded from the scenario. Per
 instant the scheduler draws first, then active robots consume draws in
@@ -311,7 +318,17 @@ def _advance(
     caps: Capabilities,
     src: RecordingSource,
     t: int | None = None,
+    settled: dict | None = None,
 ):
+    """One instant from ``config``: the new configuration (``config``
+    itself when every active robot kept its position object), the
+    :class:`StepOutcome`, the sorted active ordinals, their coins and their
+    targets.
+
+    ``settled`` maps (id of a position object, sigma) to the target of an
+    identity-frame decision that drew nothing; the config keeps every key's
+    object alive. It is read and filled here, and a caller may hand the same
+    table to the next instant while the configuration stays the same object."""
     active = tuple(sorted(activation))
     if not active:
         raise ScenarioValidationError("activation set must be non-empty")
@@ -319,10 +336,10 @@ def _advance(
     coins_by = {}
     targets_by = {}
     moved = 0
+    changed = False  # whether some active robot's position is another object
     shared = None  # the one view that every identity-frame robot observes
-    # (id of a position object, sigma) -> target of an identity-frame
-    # decision that drew nothing; the config keeps every key's object alive.
-    settled = {}
+    if settled is None:
+        settled = {}
     for i in active:
         try:
             robot = robots[i]
@@ -365,13 +382,17 @@ def _advance(
                     new = Point(cur[0] + f * (target.x - cur[0]), cur[1] + f * (target.y - cur[1]))
                 if new != cur:
                     moved += 1
-            positions[i] = new
+            if new is not cur:
+                changed = True
+                positions[i] = new
         except ScatterSimError as exc:
             raise _located(exc, t, i, config[i]) from exc
     outcome = StepOutcome(activated_count=len(active), moved_count=moved)
     coins = tuple(coins_by[i] for i in active)
     targets = tuple(targets_by[i] for i in active)
-    return tuple(positions), outcome, active, coins, targets
+    if changed or type(config) is not tuple:
+        config = tuple(positions)
+    return config, outcome, active, coins, targets
 
 
 def step(
@@ -417,11 +438,15 @@ def run(scenario: Scenario) -> Trace:
     if _stop_hit(scenario.stop_rule, config, sorted_pattern):
         status = f"stopped:{scenario.stop_rule}"
     else:
+        settled: dict = {}  # kept while no robot changes the configuration
         for t in range(scenario.max_steps):
             activation = sched.next_activation(n, g)
-            config, _, active, coins, targets = _advance(
-                config, activation, scenario.robots, protocol, scenario.caps, src, t
+            new, _, active, coins, targets = _advance(
+                config, activation, scenario.robots, protocol, scenario.caps, src, t, settled
             )
+            if new is not config:
+                settled.clear()
+                config = new
             records.append(StepRecord(t, active, coins, targets, config))
             if _stop_hit(scenario.stop_rule, config, sorted_pattern):
                 status = f"stopped:{scenario.stop_rule}"
@@ -512,15 +537,22 @@ def write_trace(trace: Trace, path) -> None:
     record (co-located robots, a target a robot reached) reuses its text.
     The texts are keyed by object identity, never by equality, since
     ``0.0 == -0.0``; the trace keeps every object alive while it is
-    written. Only the last two records' texts are kept, and each line is
-    written as it is made."""
+    written. A record whose configuration is the record before's own
+    object (no robot changed it, as :func:`run` keeps it) reuses that
+    record's positions text whole. Only the last two records' texts are
+    kept, and each line is written as it is made."""
     with open(path, "w", encoding="utf-8") as fh:
         header = trace_header(trace.scenario)
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         before: dict[int, str] = {}
+        held = None  # the configuration that ``positions`` renders
         for rec in trace.records:
-            now: dict[int, str] = {}
-            positions = _pairs(rec.config, before, now)
+            if rec.config is not held:
+                now: dict[int, str] = {}
+                positions = _pairs(rec.config, before, now)
+                held, held_texts = rec.config, dict(now)
+            else:
+                now = dict(held_texts)
             targets = _pairs(rec.targets, before, now)
             coins = "[" + ",".join("[" + ",".join(map(str, c)) + "]" for c in rec.coins) + "]"
             line = (
@@ -602,6 +634,25 @@ def _record(obj, points: dict) -> StepRecord:
     )
 
 
+def _check_status(status, count: int, scenario: Scenario) -> None:
+    """Refuse a trailer ``status`` that no :func:`run` of ``scenario``
+    ends with after ``count`` records: ``budget_exhausted`` needs exactly
+    ``max_steps`` records, ``stopped:<stop_rule>`` (a rule other than
+    ``none``) at most that many."""
+    budget, stopped = "budget_exhausted", f"stopped:{scenario.stop_rule}"
+    if status == budget:
+        fits, bound = count == scenario.max_steps, "exactly"
+    elif status == stopped and scenario.stop_rule != "none":
+        fits, bound = count <= scenario.max_steps, "at most"
+    else:
+        wanted = repr(budget) if scenario.stop_rule == "none" else f"{budget!r} or {stopped!r}"
+        raise TraceFormatError(f"bad trailer: status {status!r}, expected {wanted}")
+    if not fits:
+        raise TraceFormatError(
+            f"bad trailer: status {status!r} after {count} records, not {bound} max_steps = {scenario.max_steps}"
+        )
+
+
 def load_trace(path) -> Trace:
     """Read a trace that :func:`write_trace` wrote, checking its header,
     its trailer and each record (see README, Trace format); a malformed
@@ -612,7 +663,9 @@ def load_trace(path) -> Trace:
     digest raises :class:`DigestMismatchError`, any other key a
     TraceFormatError that names it. The embedded scenario must then pass
     :meth:`Scenario.validate`, as :func:`run` requires; else its
-    :class:`ScenarioValidationError` is raised as it is.
+    :class:`ScenarioValidationError` is raised as it is. The trailer's
+    status must be one a run of that scenario ends with after the file's
+    number of records (see :func:`_check_status`).
 
     Every coordinate keeps its bits, the sign of a zero included: a
     record's ``-0`` loads as ``-0.0``. Each number text is parsed once per
@@ -673,4 +726,5 @@ def load_trace(path) -> Trace:
         if any(not 0 <= i < n for i in rec.active):
             raise TraceFormatError(f"record {k}: active ordinal out of range 0..{n - 1}")
         records.append(rec)
-    return Trace(scenario, tuple(records), str(trailer["status"]))
+    _check_status(trailer["status"], len(records), scenario)
+    return Trace(scenario, tuple(records), trailer["status"])

@@ -179,9 +179,10 @@ class Protocol(ABC):
 
     ``decide`` must be pure given its arguments and draw randomness only
     through ``rng``. The engine relies on it: a decision that drew nothing
-    may be reused, within the instant, for every co-located robot that
-    observes through the identity frame with the same sigma, and its rule
-    is not called for them.
+    may be reused for every co-located robot that observes through the
+    identity frame with the same sigma, in its instant and in every later
+    instant of an unchanged configuration, and its rule is not called for
+    them.
 
     ``sigma`` is the robot's travel bound in global units, while ``view``
     and the returned target are in the robot's local frame. Under a frame

@@ -48,6 +48,32 @@ def test_criterion_1_voronoi_oracle_equivalence():
     report("C1", timed(5.0, campaigns.voronoi_oracle, 10_000, 101))
 
 
+class _ScriptedDraws:
+    """Stands in for C1's generator: two sites, then one query per round."""
+
+    def __init__(self, uniforms):
+        self._uniforms = list(uniforms)
+
+    def integers(self, low, high):
+        return 2
+
+    def uniform(self, low, high, size):
+        got = np.array(self._uniforms.pop(0), dtype=float)
+        assert got.shape == size
+        return got
+
+
+def test_criterion_1_skips_a_query_on_a_bisector(monkeypatch):
+    """(0, 3) lies on the bisector of (-1, 0) and (1, 0), so it is skipped
+    and not counted; (5, 0) is then the one query checked."""
+    sites = [[-1.0, 0.0], [1.0, 0.0]]
+    draws = _ScriptedDraws([sites, [[0.0, 3.0]], sites, [[5.0, 0.0]]])
+    monkeypatch.setattr(campaigns.np.random, "default_rng", lambda seed: draws)
+    (check,) = campaigns.voronoi_oracle(1, 0)
+    assert check.passed and check.detail.startswith("1 queries, 0 mismatches")
+    assert not draws._uniforms
+
+
 def test_criterion_2_closure_exact():
     report("C2", campaigns.closure(1000, 202))
 

@@ -102,17 +102,25 @@ def test_replay_identical_and_corrupted(scenario_file, tmp_path, capsys):
     assert "divergence at instant 3" in capsys.readouterr().out
 
 
-# Each edit of the 9-instant demo trace, and the instant after the shorter
-# record list, where replay reports the divergence.
+# Each edit of the demo trace under a stop rule, and the instant after the
+# shorter record list, where replay reports the divergence. The edited file
+# still loads: under ``no_multiplicity`` the run stops after 3 records, so
+# 2 records are fewer than max_steps and may end ``stopped``; under
+# ``gathered`` it runs its 9 instants, which a ``stopped`` run may take too.
 SHORT_OR_RESTATED = {
-    "last record removed": (lambda lines: lines.pop(-2), 9),
-    "status edited": (lambda lines: lines.__setitem__(-1, '{"status": "stopped:gathered"}'), 10),
+    "last record removed": ("no_multiplicity", lambda lines: lines.pop(-2), 3),
+    "status edited": ("gathered", lambda lines: lines.__setitem__(-1, '{"status": "stopped:gathered"}'), 10),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SHORT_OR_RESTATED))
 def test_replay_diverges_on_trace_length_or_status(case, scenario_file, tmp_path, capsys):
-    edit, instant = SHORT_OR_RESTATED[case]
+    rule, edit, instant = SHORT_OR_RESTATED[case]
+    scenario_file.write_text(
+        SCATTER_SCN.replace("stop_rule = none", f"stop_rule = {rule}").replace(
+            "multiplicity_detection = off", "multiplicity_detection = on"
+        )
+    )
     out = tmp_path / "demo.trace"
     main(["run", str(scenario_file), "--out", str(out)])
     lines = out.read_text().splitlines()

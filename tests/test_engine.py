@@ -414,6 +414,14 @@ TRUNCATED = "truncated trace: missing status trailer"
 DIGEST = "trace digest does not match its embedded scenario"
 
 
+def _trailer(status: str):
+    return lambda lines: lines.__setitem__(-1, f'{{"status": {status}}}')
+
+
+# The trace of _written has stop rule none and max_steps 5.
+_NOT_A_STATUS = "bad trailer: status {}, expected 'budget_exhausted'"
+
+
 def _differs(key):
     return f"bad header: {key!r} does not match the embedded scenario"
 
@@ -444,6 +452,16 @@ BAD_ENDS = {
     "embedded reflect 0": (
         _header(lambda h: h["scenario"]["robots"][0]["frame"].__setitem__("reflect", 0)),
         DIGEST,
+    ),
+    # The rows below each loaded, and export wrote the status as it was.
+    "status number": (_trailer("5"), _NOT_A_STATUS.format("5")),
+    "status null": (_trailer("null"), _NOT_A_STATUS.format("None")),
+    "status array": (_trailer('["a"]'), _NOT_A_STATUS.format("['a']")),
+    "status bogus": (_trailer('"bogus"'), _NOT_A_STATUS.format("'bogus'")),
+    "status stopped:none": (_trailer('"stopped:none"'), _NOT_A_STATUS.format("'stopped:none'")),
+    "status record count": (
+        lambda lines: lines.pop(-2),
+        "bad trailer: status 'budget_exhausted' after 4 records, not exactly max_steps = 5",
     ),
 }
 
@@ -1010,17 +1028,13 @@ def test_reused_decisions_match_a_per_robot_loop_bit_for_bit(pool, picks, spec, 
         assert g.bit_generator.state == g_ref.bit_generator.state
 
 
-def test_a_roundtrip_shaped_run_decides_a_pinned_number_of_times(monkeypatch):
+def _roundtrip_shaped():
     """24 robots from a corrupted start (a triple and three stacked pairs),
-    sigma 10, ``bounded_delay`` 4, ``stabilized_gather``: they gather within
-    about 40 instants and then walk onto or stay at one Point object, so
-    the robots the scheduler activates together share one decision. Every
-    activation decided when no decision was reused; a count near that
-    again means the reuse is gone."""
+    sigma 10, ``bounded_delay`` 4, ``stabilized_gather``, 200 instants."""
     rng = np.random.default_rng(2024)
     pts = [tuple(p) for p in rng.uniform(-4.0, 4.0, size=(19, 2))]
     positions = [pts[0]] * 3 + [p for p in pts[1:4] for _ in range(2)] + pts[4:]
-    scenario = make_scenario(
+    return make_scenario(
         positions,
         protocol="stabilized_gather",
         scheduler=("bounded_delay", 4),
@@ -1030,17 +1044,107 @@ def test_a_roundtrip_shaped_run_decides_a_pinned_number_of_times(monkeypatch):
         multiplicity=True,
         localization=True,
     )
-    calls = 0
-    decide = protocols_module.stabilized_gather_step
+
+
+def _count_calls(monkeypatch, module, name, key=lambda *args: None) -> Counter:
+    """Calls of ``module.name`` from now on, counted under ``key(*args)``."""
+    calls = Counter()
+    fn = getattr(module, name)
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
-        return decide(*args)
+        calls[key(*args)] += 1
+        return fn(*args)
 
-    monkeypatch.setattr(protocols_module, "stabilized_gather_step", counted)
-    trace = run(scenario)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_roundtrip_shaped_run_decides_a_pinned_number_of_times(monkeypatch):
+    """The robots gather within about 40 instants and then stay on two
+    equal Point objects, so the configuration stays one object for the
+    rest of the run. Robots on one object decide once per instant, and a
+    decision stands from one instant to the next while no robot changes
+    the configuration: after gathering, the rule runs once per object in
+    all. A count near the activations again means the reuse is gone; 578,
+    the count when a decision stands only within its instant, means the
+    reuse no longer spans instants."""
+    calls = _count_calls(monkeypatch, protocols_module, "stabilized_gather_step")
+    trace = run(_roundtrip_shaped())
     final = trace.records[-1].config
     assert all(p == final[0] for p in final)
     activations = sum(len(rec.active) for rec in trace.records)
-    assert (calls, activations) == (578, 2575)
+    assert (calls[None], activations) == (262, 2575)
+
+
+def test_a_gathered_stabilized_gather_decides_once_per_stationary_stretch(monkeypatch):
+    """A stretch is a run of instants that start from one configuration
+    object. Once the swarm has gathered, that object stands for the rest of
+    the run, and the rule is called once per position object in it."""
+    seen = []
+    advance = engine_module._advance
+
+    def observed(config, *args):
+        seen.append(config)
+        return advance(config, *args)
+
+    monkeypatch.setattr(engine_module, "_advance", observed)
+    calls = _count_calls(
+        monkeypatch, protocols_module, "stabilized_gather_step", lambda *args: id(seen[-1])
+    )
+    trace = run(_roundtrip_shaped())
+    final = trace.records[-1].config
+    assert all(p == final[0] for p in final)
+    stretch = [config for config in seen if config is final]
+    assert len(stretch) > 100 and all(rec.config is final for rec in trace.records[-len(stretch) :])
+    assert calls[id(final)] == len({id(p) for p in final})
+
+
+def test_a_scatter_instant_that_changes_nothing_decides_again_next_instant(monkeypatch):
+    """Every active coin of some instant says stay, so the configuration
+    stays one object; scatter decisions draw, so none stands, and every
+    activation of the next instant draws its own coin."""
+    calls = _count_calls(monkeypatch, protocols_module, "scatter_step")
+    trace = run(make_scenario([(0, 0), (0, 0), (0, 0)], seed=3, max_steps=30))
+    records = trace.records
+    still = [k for k in range(1, len(records) - 1) if records[k].config is records[k - 1].config]
+    assert still
+    assert all(len(c) == 1 for k in still for c in records[k + 1].coins)
+    assert calls[None] == sum(len(rec.active) for rec in trace.records)
+
+
+def test_a_private_frame_robot_decides_at_every_activation(monkeypatch):
+    """A rule that always stays leaves the configuration one object for the
+    whole run, and all four robots stand on one position object. Robots 0
+    and 1 observe through the identity frame, so they decide once in all;
+    the private-frame robots 2 and 3 decide at every activation."""
+    frames = [IDENTITY_FRAME, IDENTITY_FRAME] + [random_frame(np.random.default_rng(k)) for k in (5, 6)]
+    calls = []
+
+    def counted_stay(view):
+        calls.append(view)
+        return view.self_pos
+
+    monkeypatch.setitem(protocols_module.DETERMINISTIC_RULES, "unit_x", counted_stay)
+    scenario = make_scenario(
+        [(0, 0)] * 4,
+        protocol="deterministic_rule",
+        rule="unit_x",
+        scheduler=("bernoulli", 0.5),
+        max_steps=20,
+        frames=frames,
+    )
+    scenario = replace(scenario, initial=(scenario.initial[0],) * 4)
+    trace = run(scenario)
+    assert all(rec.config is scenario.initial for rec in trace.records)
+    private = sum(i >= 2 for rec in trace.records for i in rec.active)
+    assert len(calls) == 1 + private
+
+
+def test_step_given_a_list_returns_a_tuple():
+    """A configuration no robot changed is handed back as it is, but a list
+    becomes a tuple, as the configuration type is."""
+    config = [Point(0.0, 0.0), Point(1.0, 0.0)]
+    robots = (Robot(0, 1.0), Robot(1, 1.0))
+    new, outcome = step(config, {0}, robots, FixedTarget(config[0]), Capabilities(), np.random.default_rng(0))
+    assert type(new) is tuple and new == tuple(config) and new[0] is config[0]
+    assert outcome == engine_module.StepOutcome(1, 0)

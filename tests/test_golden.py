@@ -209,6 +209,18 @@ def test_golden_corpus_covers_both_cell_paths():
     assert min(widest) <= world.SMALL_CELL < max(widest)
 
 
+def test_golden_corpus_covers_a_configuration_that_stands():
+    """Some golden case's run hands one configuration object on from a
+    record to the next (no robot changed it), so the golden bytes pin
+    ``write_trace``'s reuse of a whole positions text."""
+    kept = 0
+    for name in sorted(CASES):
+        kwargs = {"max_steps": 60, **CASES[name]}
+        records = run(make_scenario(kwargs.pop("positions"), **kwargs)).records
+        kept += sum(a.config is b.config for a, b in zip(records, records[1:]))
+    assert kept > 0
+
+
 @pytest.mark.parametrize(
     "name, most_rows", [("scatter-bernoulli-sparse-n60", 16), ("scatter-bernoulli-sparse-short-sigma-n60", 0)]
 )

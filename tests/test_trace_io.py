@@ -34,6 +34,13 @@ from scattersim.engine import (
 from conftest import make_scenario
 
 
+# A hand-made trace is not a run of any protocol. A run under a stop rule
+# may end stopped after any number of records up to max_steps, so a
+# hand-made trace of up to 10 records ends that way and loads.
+HAND_MADE = dict(max_steps=10, stop_rule="gathered")
+HAND_MADE_STATUS = "stopped:gathered"
+
+
 def _ref_f17(x):
     return format(float(x), ".17g")
 
@@ -120,7 +127,7 @@ def traces(draw):
     def fresh():
         return Point(draw(COORDS), draw(COORDS))
 
-    scenario = make_scenario([fresh() for _ in range(n)], max_steps=10)
+    scenario = make_scenario([fresh() for _ in range(n)], **HAND_MADE)
     config = scenario.initial
     records = []
     for t in range(draw(st.integers(0, 6))):
@@ -154,7 +161,7 @@ def traces(draw):
                 targets.append(fresh())
         config = tuple(new)
         records.append(StepRecord(t, active, coins, tuple(targets), config))
-    return Trace(scenario, tuple(records), "budget_exhausted")
+    return Trace(scenario, tuple(records), HAND_MADE_STATUS)
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,7 +206,7 @@ def test_signed_zeros_survive_write_load_and_export(tmp_path):
 def test_load_takes_the_sign_of_a_zero_that_alone_changes(tmp_path):
     """A pair that repeats the record before's pair except for the sign of
     a zero loads with its own sign, both ways round."""
-    scenario = make_scenario([(1.5, 0.0), (-0.0, 2.5)], max_steps=10)
+    scenario = make_scenario([(1.5, 0.0), (-0.0, 2.5)], **HAND_MADE)
     configs = [
         (Point(1.5, 0.0), Point(-0.0, 2.5)),
         (Point(1.5, -0.0), Point(0.0, 2.5)),
@@ -208,7 +215,7 @@ def test_load_takes_the_sign_of_a_zero_that_alone_changes(tmp_path):
     records = tuple(
         StepRecord(t, (0, 1), ((), ()), config, config) for t, config in enumerate(configs)
     )
-    trace = Trace(scenario, records, "budget_exhausted")
+    trace = Trace(scenario, records, HAND_MADE_STATUS)
     loaded = check_roundtrip(trace, tmp_path)
     assert [bits(rec.config) for rec in loaded.records] == [bits(c) for c in configs]
 
@@ -219,14 +226,14 @@ def test_load_gives_each_pair_text_one_point(tmp_path):
     distinct objects when written. A pair whose text differs only in the
     sign of a zero loads as another Point."""
     a, b, z, o = (1.5, 2.5), (3.0, 0.0), (-0.0, 0.0), (0.0, 0.0)
-    scenario = make_scenario([a, b], max_steps=10)
+    scenario = make_scenario([a, b], **HAND_MADE)
     configs = [(a, b), (b, z), (a, b), (z, a)]
     targets = [(b,), (a,), (z,), (o,)]
     records = tuple(
         StepRecord(t, (1,), ((),), tuple(Point(*p) for p in targets[t]), tuple(Point(*p) for p in c))
         for t, c in enumerate(configs)
     )
-    loaded = check_roundtrip(Trace(scenario, records, "budget_exhausted"), tmp_path)
+    loaded = check_roundtrip(Trace(scenario, records, HAND_MADE_STATUS), tmp_path)
     one = {}
     for rec in loaded.records:
         for p in rec.config + rec.targets:
@@ -246,7 +253,7 @@ def test_load_keeps_every_bit_of_repeated_slot_values(tmp_path):
     values = ["0", "-0", "0.0", "-0.0", "1", "1.0", "123456789012", "987654321098"]
     texts = values + values[::-1] + values[6:] * 3
     path = tmp_path / "t.trace"
-    write_trace(run(make_scenario([(1, 2), (3, 4)], max_steps=1)), path)
+    write_trace(run(make_scenario([(1, 2), (3, 4)], max_steps=len(texts))), path)
     header, *_, trailer = path.read_text(encoding="utf-8").splitlines()
     lines = [header]
     for t, v in enumerate(texts):
@@ -257,6 +264,22 @@ def test_load_keeps_every_bit_of_repeated_slot_values(tmp_path):
         x = float(v)
         assert bits(rec.targets) == bits([Point(x, x)])
         assert bits(rec.config) == bits([Point(x, x), Point(x, 1.5)])
+
+
+def test_a_shared_configuration_writes_as_a_fresh_copy_of_it_would(tmp_path):
+    """``run`` hands on one configuration object while no robot changes
+    it, and ``write_trace`` then reuses the record before's positions
+    text. Rebuilding every record's configuration as a fresh tuple of the
+    same points gives the same bytes."""
+    trace = run(make_scenario([(0, 0), (0, 0), (1, 1), (-0.0, 2)], seed=3, max_steps=30))
+    records = trace.records
+    assert any(a.config is b.config for a, b in zip(records, records[1:]))
+    fresh = replace(trace, records=tuple(replace(rec, config=tuple(list(rec.config))) for rec in records))
+    assert not any(a.config is b.config for a, b in zip(fresh.records, fresh.records[1:]))
+    shared, copied = tmp_path / "shared.trace", tmp_path / "copied.trace"
+    write_trace(trace, shared)
+    write_trace(fresh, copied)
+    assert shared.read_bytes() == copied.read_bytes() == reference_trace_text(trace).encode()
 
 
 def test_load_refuses_a_positions_row_that_is_not_an_array(tmp_path):
@@ -338,9 +361,9 @@ def test_a_minus_zero_loads_as_minus_zero_wherever_it_stands(config, token, tmp_
     """The integer token -0 loads as -0.0 wherever it stands in a row,
     spaced out by hand too; a -0 that digits follow is another number."""
     trace = Trace(
-        make_scenario(list(config), max_steps=10),
+        make_scenario(list(config), **HAND_MADE),
         (StepRecord(0, (0, 1), ((), ()), config, config),),
-        "budget_exhausted",
+        HAND_MADE_STATUS,
     )
     check_roundtrip(trace, tmp_path)
     path = tmp_path / "t.trace"

@@ -44,16 +44,21 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main() -> None:
-    total = code = 0
-    print(f"{'file':<18}{'wc -l':>7}{'code':>7}")
+def counts() -> list[tuple[str, int, int]]:
+    """``(file name, wc -l, code lines)`` of each module, by name."""
+    rows = []
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
-        n, c = source.count("\n"), code_lines(source)
-        total += n
-        code += c
-        print(f"{path.name:<18}{n:>7}{c:>7}")
-    print(f"{'total':<18}{total:>7,}{code:>7,}")
+        rows.append((path.name, source.count("\n"), code_lines(source)))
+    return rows
+
+
+def main() -> None:
+    rows = counts()
+    print(f"{'file':<18}{'wc -l':>7}{'code':>7}")
+    for name, n, c in rows:
+        print(f"{name:<18}{n:>7}{c:>7}")
+    print(f"{'total':<18}{sum(r[1] for r in rows):>7,}{sum(r[2] for r in rows):>7,}")
 
 
 if __name__ == "__main__":
