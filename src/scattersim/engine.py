@@ -9,7 +9,14 @@ Every robot that observes through the identity frame (its own, or the
 shared one under localization knowledge) sees the same points, so an
 instant builds that view once and hands each such robot a copy that
 differs only in its own position; robots with a private frame get a view
-of their own.
+of their own. A protocol with a ``from_points`` body (plain scatter)
+decides for identity-frame robots from their positions instead: while the
+configuration has at most ``SMALL_CELL`` distinct points, an instant builds
+no view and hands the body the first object of each distinct position, as
+``build_view`` keeps them, in configuration order (the draw takes an exact
+minimum and an ``all``, so the order of the points cannot matter); beyond
+that the body gets the one view's ``within_reach``, as ``scatter_step``
+does.
 
 Co-located identity-frame robots decide once, and so does a robot whose
 configuration no robot changed. Two such robots on the same position
@@ -80,6 +87,7 @@ from .world import (
     Capabilities,
     Configuration,
     IDENTITY_FRAME,
+    SMALL_CELL,
     Robot,
     all_distinct,
     as_point,
@@ -338,8 +346,22 @@ def _advance(
     moved = 0
     changed = False  # whether some active robot's position is another object
     shared = None  # the one view that every identity-frame robot observes
+    body = protocol.from_points
+    # The first object of each distinct position, as ``build_view`` keeps it.
+    distinct = None if body is None else tuple(dict.fromkeys(config))
     if settled is None:
         settled = {}
+
+    def within_reach(position, robot):
+        """What ``View.within_reach`` hands the draw of an identity-frame
+        robot at ``position``; a view is built only beyond ``SMALL_CELL``."""
+        nonlocal shared
+        if len(distinct) <= SMALL_CELL:
+            return distinct
+        if shared is None:
+            shared = build_view(config, robot, caps)
+        return shared.seen_from(position).within_reach(robot.sigma)
+
     for i in active:
         try:
             robot = robots[i]
@@ -348,6 +370,11 @@ def _advance(
             target = settled.get((id(config[i]), robot.sigma)) if settled and identity else None
             if target is not None:  # the same view and sigma: the same decision, no draw
                 coins_by[i] = ()
+            elif identity and body is not None:  # a decision from positions alone
+                position = as_point(config[i])
+                src.begin_robot()
+                target = as_point(body(position, lambda: within_reach(position, robot), robot.sigma, src))
+                coins_by[i] = src.coins()
             else:
                 if not identity:
                     view = build_view(config, robot, caps)

@@ -15,8 +15,9 @@ its route: an array goes through those two functions on numpy columns; a
 sequence of points, of any length, goes from the points to the target on
 Python floats in one pass, which builds each rival's row and its slack at
 the site and casts the rays on those rows, with no ``VoronoiCell``. The
-caller decides the form; for ``protocols.scatter_step`` that is
-``world.View.within_reach``. Both routes do the same IEEE-754 double
+caller decides the form; for ``protocols.scatter_from`` that is
+``world.View.within_reach``, or the engine's tuple of the distinct
+positions when they are at most ``world.SMALL_CELL``. Both routes do the same IEEE-754 double
 operations in the same order (``x*x`` for a square, no fused multiply-add,
 an exact minimum) and draw the same random numbers, so they give the same
 target, the same generator state and the same error, bit for bit.
@@ -238,8 +239,9 @@ def scatter_target(position: Point, occupied: Sequence[Point] | np.ndarray, sigm
     and :func:`sample_in_cell`; a sequence of points goes from the points
     to the target on Python floats, one pass building the rows and their
     slack at the site, and builds no :class:`VoronoiCell`. The caller
-    decides the form (``world.View.within_reach`` does for
-    ``protocols.scatter_step``)."""
+    decides the form (for ``protocols.scatter_from``,
+    ``world.View.within_reach`` or the engine's tuple of the distinct
+    positions)."""
     if isinstance(occupied, np.ndarray):
         return sample_in_cell(own_cell(position, occupied), position, sigma, rng)
     rows = _site_rows(position, occupied)

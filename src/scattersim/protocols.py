@@ -9,7 +9,6 @@ the robot's sigma.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from statistics import fmean
 from typing import Callable
@@ -19,28 +18,26 @@ from .geometry import Point, distance, scatter_target
 from .world import Capabilities, View
 
 
-def _flip(rng) -> int:
-    """Fair coin over {0, 1}."""
-    return int(rng.integers(0, 2))
+def scatter_from(position: Point, points: Callable, sigma: float, rng) -> Point:
+    """Randomized dispersion from ``position``: on coin 1 stay put, on coin
+    0 move to a fresh point inside its open Voronoi cell among the distinct
+    occupied positions. A coin is ``rng.integers(0, 2)``. ``points()``,
+    called only after a coin 0, returns the points the draw needs: all of
+    them, or any that hold every rival within :func:`geometry.reach`, in
+    any order (geometry module docstring); their form picks the draw's
+    route, a sequence on Python floats, an array on numpy."""
+    if rng.integers(0, 2) == 1:
+        return position
+    return scatter_target(position, points(), sigma, rng)
 
 
 def scatter_step(view: View, sigma: float, rng) -> Point:
-    """Randomized dispersion: on coin 1 stay put, on coin 0 move to a fresh
-    point inside the open Voronoi cell of the robot's position (taken among
-    the distinct occupied positions)."""
-    points = view.points
-    # ``build_view`` sorts the points, so a bisection finds the observer;
-    # the scan answers for a view built in any other order.
-    i = bisect_left(points, view.self_pos)
-    if not (i < len(points) and points[i] == view.self_pos) and view.self_pos not in points:
+    """:func:`scatter_from` the robot's position in ``view``, with the
+    points :meth:`View.within_reach` hands the draw. The observer must be a
+    point of the view."""
+    if view.self_pos not in view.points:
         raise ContractViolationError("observer position missing from view")
-    if _flip(rng) == 1:
-        return view.self_pos
-    # Only rivals within reach can change the draw (the geometry module
-    # docstring proves it); the view hands the draw those, or all its
-    # points, and the form it hands them in picks the draw's route: a
-    # sequence goes to the target on Python floats, an array on numpy.
-    return scatter_target(view.self_pos, view.within_reach(sigma), sigma, rng)
+    return scatter_from(view.self_pos, lambda: view.within_reach(sigma), sigma, rng)
 
 
 def _require_counts(view: View, caps: Capabilities) -> tuple[int, ...]:
@@ -74,7 +71,7 @@ def pair_gather_step(view: View, sigma: float, rng) -> Point:
         raise ContractViolationError("pair gathering is defined for two robots")
     others = [p for p in view.points if p != view.self_pos]
     other = others[0] if others else view.self_pos
-    return other if _flip(rng) == 0 else view.self_pos
+    return other if rng.integers(0, 2) == 0 else view.self_pos
 
 
 def reference_gather_step(view: View, caps: Capabilities, sigma: float) -> Point:
@@ -188,7 +185,18 @@ class Protocol(ABC):
     and the returned target are in the robot's local frame. Under a frame
     of unit u a target can therefore lie up to sigma * u away; the engine
     caps the move at sigma along the segment toward it.
+
+    A protocol whose rule reads only its own position and the distinct
+    occupied positions may set ``from_points`` to a function
+    ``(position, points, sigma, rng)`` that gives the target ``decide``
+    would give a robot observing through the identity frame, bit for bit
+    and with the same draws, where ``points()`` returns, in any order, the
+    points that :meth:`View.within_reach` would. The engine then calls it
+    for such robots, calls no ``decide`` for them and builds no view while
+    the configuration has at most ``SMALL_CELL`` distinct points.
     """
+
+    from_points: Callable | None = None
 
     @abstractmethod
     def decide(self, view: View, caps: Capabilities, sigma: float, rng) -> Point:
@@ -200,7 +208,8 @@ class Kind:
     """What one protocol kind is and needs.
 
     ``rule(protocol, view, caps, sigma, rng)`` decides for a built
-    :class:`KindProtocol`. A ``shared_frame`` kind needs multiplicity
+    :class:`KindProtocol`, and ``from_points``, when set, is its
+    :attr:`Protocol.from_points`. A ``shared_frame`` kind needs multiplicity
     detection and localization knowledge; ``plugin`` names the kind a
     self-stabilizing wrapper defers to once the guard is clear.
     """
@@ -212,10 +221,15 @@ class Kind:
     exact_n: int | None = None
     min_n: int = 1
     plugin: str | None = None
+    from_points: Callable | None = None
 
 
 KINDS = {
-    "scatter": Kind(lambda p, view, caps, sigma, rng: scatter_step(view, sigma, rng)),
+    "scatter": Kind(
+        lambda p, view, caps, sigma, rng: scatter_step(view, sigma, rng),
+        # Looked up at each call, as ``scatter_step`` looks it up: one body.
+        from_points=lambda position, points, sigma, rng: scatter_from(position, points, sigma, rng),
+    ),
     "pair_gather": Kind(
         lambda p, view, caps, sigma, rng: pair_gather_step(view, sigma, rng), exact_n=2
     ),
@@ -256,6 +270,7 @@ class KindProtocol(Protocol):
         self.spec = spec
         entry = KINDS[spec.kind]
         self._rule = entry.rule
+        self.from_points = entry.from_points
         self.plugin = None if entry.plugin is None else KindProtocol(replace(spec, kind=entry.plugin))
 
     def decide(self, view, caps, sigma, rng):

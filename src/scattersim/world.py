@@ -206,9 +206,11 @@ class View:
     def within_reach(self, sigma: float):
         """The points the robot's scatter cell needs at travel bound
         ``sigma``, in the form that picks the route of
-        :func:`geometry.scatter_target`, which this method alone decides: a
+        :func:`geometry.scatter_target`, which this method decides: a
         sequence goes to the target on Python floats, an array on numpy
-        columns. A view of at most ``SMALL_CELL`` points returns ``points``.
+        columns. A view of at most ``SMALL_CELL`` points returns ``points``
+        (for plain scatter, the engine hands the draw the same points as a
+        tuple without a view).
         A larger one returns its own point and every point within
         :func:`geometry.reach` of it, as a list of any length, found
         through a grid that the shared views build once per ``sigma`` (see

@@ -211,7 +211,7 @@ def test_impossibility_reports_an_impure_rule_separating():
 def test_pair_campaign_refuses_a_pair_that_never_separates(monkeypatch):
     """Under a scatter rule that always stays the pair never separates, so
     the campaign raises at its instant budget instead of counting."""
-    monkeypatch.setattr(protocols, "scatter_step", lambda view, sigma, rng: view.self_pos)
+    monkeypatch.setattr(protocols, "scatter_from", lambda position, points, sigma, rng: position)
     monkeypatch.setattr(analysis, "PAIR_INSTANT_BUDGET", 20)
     with pytest.raises(RuntimeError, match="^pair did not separate within the instant budget$"):
         _pair_campaign(SchedulerSpec("full_synchronous"), 3, 0)

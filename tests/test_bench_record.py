@@ -50,3 +50,24 @@ def test_a_record_keeps_only_the_declared_metrics():
         "failed": 2,
         "host_factor": 1.05,
     }
+
+
+def test_an_engine_sweep_holds_a_rate_per_frame_kind_and_robot_count():
+    sweep = bench_record.engine_sweep(ns=(2,), seconds=0.0, steps=2)
+    assert list(sweep) == ["identity", "random"]
+    for cells in sweep.values():
+        assert list(cells) == ["2"]
+        cell = cells["2"]
+        assert sorted(cell) == ["instants", "instants_per_s", "seconds"]
+        assert cell["instants"] == 2 and cell["instants_per_s"] == 2 / cell["seconds"]
+    json.dumps(sweep, allow_nan=False)
+
+
+def test_a_sweep_scenario_stacks_pairs_under_the_frames_it_names():
+    for frames in bench_record.SWEEP_FRAMES:
+        scenario = bench_record.sweep_scenario(5, frames, 3)
+        scenario.validate()
+        initial = scenario.initial
+        assert initial[0] == initial[1] and initial[2] == initial[3] and len(set(initial)) == 3
+        assert all(r.frame.is_identity == (frames == "identity") for r in scenario.robots)
+        assert (scenario.protocol.kind, scenario.scheduler.kind, scenario.max_steps) == ("scatter", "bernoulli", 3)

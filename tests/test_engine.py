@@ -48,6 +48,7 @@ from scattersim.errors import (
     TraceFormatError,
 )
 from scattersim.protocols import DETERMINISTIC_RULES, Protocol
+from scattersim.world import SMALL_CELL
 
 from conftest import ScriptedSource, make_scenario
 
@@ -1103,7 +1104,7 @@ def test_a_scatter_instant_that_changes_nothing_decides_again_next_instant(monke
     """Every active coin of some instant says stay, so the configuration
     stays one object; scatter decisions draw, so none stands, and every
     activation of the next instant draws its own coin."""
-    calls = _count_calls(monkeypatch, protocols_module, "scatter_step")
+    calls = _count_calls(monkeypatch, protocols_module, "scatter_from")
     trace = run(make_scenario([(0, 0), (0, 0), (0, 0)], seed=3, max_steps=30))
     records = trace.records
     still = [k for k in range(1, len(records) - 1) if records[k].config is records[k - 1].config]
@@ -1148,3 +1149,121 @@ def test_step_given_a_list_returns_a_tuple():
     new, outcome = step(config, {0}, robots, FixedTarget(config[0]), Capabilities(), np.random.default_rng(0))
     assert type(new) is tuple and new == tuple(config) and new[0] is config[0]
     assert outcome == engine_module.StepOutcome(1, 0)
+
+
+# Plain scatter decides for identity-frame robots through its ``from_points``
+# body, from positions; with that Kind field set to None it decides through
+# ``decide`` on a View, as every other kind does.
+
+
+def _scatter_on_views(mp):
+    """Take plain scatter's ``from_points`` body away for ``mp``'s lifetime."""
+    kind = protocols_module.KINDS["scatter"]
+    mp.setitem(protocols_module.KINDS, "scatter", replace(kind, from_points=None))
+
+
+def _run_bits(scenario):
+    """Every record field of a run, positions and targets as exact bits, and
+    its status; or the class and message of the error it raised."""
+    try:
+        trace = run(scenario)
+    except ScatterSimError as exc:
+        return type(exc), str(exc)
+    records = [
+        (rec.t, rec.active, rec.coins, [_bits(p) for p in rec.targets], [_bits(p) for p in rec.config])
+        for rec in trace.records
+    ]
+    return records, trace.status
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 40) | st.just(SMALL_CELL + 1),
+    start=st.sampled_from(["spread", "stacked", "collapsed"]),
+    signed_zero=st.booleans(),
+    sigmas=st.lists(st.sampled_from([1.0, 0.5, 3.0]), min_size=1, max_size=3),
+    scheduler=st.sampled_from(_FOUR_SCHEDULERS),
+    frames=st.sampled_from(["identity", "localized", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scatter_from_positions_matches_the_view_path_bit_for_bit(
+    n, start, signed_zero, sigmas, scheduler, frames, seed
+):
+    """Spread, stacked-pair and collapsed starts, one past ``SMALL_CELL``
+    among them, optionally with a co-located ``(0.0, y)`` / ``(-0.0, y)``
+    pair. Frames are all identity, all random under localization knowledge
+    (so every robot observes through the identity frame) or every other one
+    random, each robot with one of a few sigmas. A run gives the same
+    positions, targets (signs of zero included), coins and status whether
+    plain scatter decides from positions or on views, and so does one
+    ``step`` of every robot on a list of plain tuples."""
+    rng = np.random.default_rng(seed)
+    sites = [tuple(p) for p in rng.uniform(-10.0, 10.0, (n, 2))]
+    if start == "stacked":
+        sites = [sites[k // 2] for k in range(n)]
+    elif start == "collapsed":
+        sites = [sites[0]] * n
+    if signed_zero:
+        y = sites[0][1]
+        sites[:2] = [(0.0, y), (-0.0, y)]
+    frame_rng = np.random.default_rng(seed + 1)
+    robots = tuple(
+        Robot(i, sigmas[i % len(sigmas)], random_frame(frame_rng))
+        if frames == "localized" or frames == "mixed" and i % 2
+        else Robot(i, sigmas[i % len(sigmas)])
+        for i in range(n)
+    )
+    scenario = Scenario(
+        robots=robots,
+        initial=as_configuration(sites),
+        caps=Capabilities(localization_knowledge=frames == "localized"),
+        scheduler=SchedulerSpec(*scheduler),
+        protocol=ProtocolSpec("scatter"),
+        seed=seed,
+        max_steps=8,
+        stop_rule="none",
+    )
+
+    def stepped():
+        g = np.random.default_rng(seed)
+        protocol = ProtocolSpec("scatter").build()
+        new, outcome = step(list(map(tuple, sites)), range(n), robots, protocol, scenario.caps, g)
+        return [_bits(p) for p in new], outcome, g.bit_generator.state
+
+    got = _run_bits(scenario), stepped()
+    with pytest.MonkeyPatch.context() as mp:
+        _scatter_on_views(mp)
+        want = _run_bits(scenario), stepped()
+    assert got == want
+
+
+def test_plain_scatter_builds_no_view_up_to_small_cell(monkeypatch):
+    """Every robot active: over ``SMALL_CELL`` distinct points an instant
+    builds no view and calls no ``decide``; over one point more it builds
+    the one view that the reach grid needs."""
+    views = _count_calls(monkeypatch, engine_module, "build_view")
+    decisions = _count_calls(monkeypatch, protocols_module.KindProtocol, "decide")
+    for m, built in ((SMALL_CELL, 0), (SMALL_CELL + 1, 1)):
+        config = as_configuration([(float(k), 0.0) for k in range(m)])
+        robots = tuple(Robot(k, 1.0) for k in range(m))
+        new, _ = step(config, range(m), robots, ProtocolSpec("scatter").build(), Capabilities(), np.random.default_rng(0))
+        assert new != config
+        assert (views[None], decisions[None]) == (built, 0)
+
+
+def test_a_failing_cell_is_located_on_the_positions_path():
+    """A cell that fails its start check (ROADMAP item 7), reached by the
+    first coin of seed 1, a 0: ``run`` and ``step`` name the instant (in
+    ``run``), the robot and its position, the original chained."""
+    positions = [(1e12, 0.0), (1e12 + 1.0, 0.0)]
+    assert np.random.default_rng(1).integers(0, 2) == 0
+    cause = "current position must lie strictly inside the cell"
+    with pytest.raises(ContractViolationError) as err:
+        run(make_scenario(positions, seed=1))
+    assert str(err.value) == f"{cause} (instant 0, robot 0 at (1000000000000.0, 0.0))"
+    assert type(err.value.__cause__) is ContractViolationError and str(err.value.__cause__) == cause
+    robots = (Robot(0, 1.0), Robot(1, 1.0))
+    with pytest.raises(ContractViolationError) as err:
+        step(positions, {0, 1}, robots, ProtocolSpec("scatter").build(), Capabilities(), np.random.default_rng(1))
+    assert str(err.value) == f"{cause} (robot 0 at (1000000000000.0, 0.0))"
+    assert type(err.value.__cause__) is ContractViolationError and str(err.value.__cause__) == cause

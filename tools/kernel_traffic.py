@@ -8,7 +8,7 @@ Run from the repository root:
 Each workload of ``perfbench/workloads.py`` runs its first N units for
 SEED (by default its own ``min_units``), with the same inputs the
 benchmark gives those units. Meanwhile ``protocols.scatter_target``, the
-draw that ``scatter_step`` calls, is wrapped from outside the package and
+draw that ``scatter_from`` calls, is wrapped from outside the package and
 counts each call by the form of its points (``tuple``, ``list`` or
 ``array``; the form picks the draw's route) and by their number. The
 table it prints is what a change to ``world.SMALL_CELL`` shifts between
